@@ -1,13 +1,14 @@
 """Ablations on the SPARQL engine design choices (DESIGN.md §4).
 
-* **Join reordering** — greedy estimate-based BGP ordering vs. textual
-  pattern order.  The recursive Pattern #2 depends on routing evaluation
-  through the bound end of property paths.
-* **Closure caching** — per-graph memoization of property-path closures
-  vs. recomputing the BFS per candidate binding.
+* **Join planning** — cost-based BGP join order vs. written pattern
+  order (:func:`repro.sparql.planner.planning` off).  The recursive
+  Pattern #2 depends on routing evaluation through the bound end of
+  property paths.
 * **Triple-store indexes** — SPO/POS/OSP index lookups vs. full scans
   for every triple pattern.
 """
+
+import time
 
 import pytest
 
@@ -15,11 +16,8 @@ from repro.core.matcher import search_plan
 from repro.core.transform import transform_plan
 from repro.experiments.workloads import controlled_config
 from repro.rdf.graph import Graph
-from repro.sparql import evaluator
+from repro.sparql import planner
 from repro.workload.generator import WorkloadGenerator
-
-
-from repro.workload.generator import GeneratorConfig
 
 
 @pytest.fixture(scope="module")
@@ -29,77 +27,27 @@ def pattern_b_plan():
     return transform_plan(plan)
 
 
-@pytest.fixture(scope="module")
-def loj_dense_plan():
-    """A plan dense in left outer joins: every join has several LOJ
-    descendants on both sides, so the recursive Pattern #2 query
-    re-queries the same closures for many candidate combinations — the
-    workload the closure cache exists for."""
-    generator = WorkloadGenerator(
-        seed=89, config=GeneratorConfig(lojoin_prob=0.5)
-    )
-    plan = generator.generate_plan_in_range("loj-dense", 120, 200)
-    return transform_plan(plan)
-
-
-@pytest.fixture
-def restore_flags():
-    yield
-    evaluator.JOIN_REORDERING = True
-    evaluator.CLOSURE_CACHING = True
-
-
 def _baseline_count(pattern_b_plan, queries):
     return search_plan(queries["#2"], pattern_b_plan).count
 
 
 class TestJoinReordering:
-    def test_with_reordering(self, benchmark, pattern_b_plan, queries,
-                             restore_flags):
-        evaluator.JOIN_REORDERING = True
+    def test_with_reordering(self, benchmark, pattern_b_plan, queries):
         expected = _baseline_count(pattern_b_plan, queries)
         count = benchmark(
             lambda: search_plan(queries["#2"], pattern_b_plan).count
         )
         assert count == expected
 
-    def test_without_reordering(self, benchmark, pattern_b_plan, queries,
-                                restore_flags):
-        evaluator.JOIN_REORDERING = True
+    def test_without_reordering(self, benchmark, pattern_b_plan, queries):
         expected = _baseline_count(pattern_b_plan, queries)
-        evaluator.JOIN_REORDERING = False
-        count = benchmark(
-            lambda: search_plan(queries["#2"], pattern_b_plan).count
-        )
+
+        def written_order():
+            with planner.planning(False):
+                return search_plan(queries["#2"], pattern_b_plan).count
+
+        count = benchmark(written_order)
         assert count == expected  # ordering changes cost, never results
-
-
-class TestClosureCaching:
-    """Measured with reordering disabled: the greedy order evaluates the
-    paths backward from the few LOJ candidates, so few closures are ever
-    computed and the cache is idle.  Without reordering, the evaluator
-    enumerates join candidates first and re-queries the same forward
-    closures — the workload the cache exists for."""
-
-    def test_with_cache(self, benchmark, loj_dense_plan, queries,
-                        restore_flags):
-        expected = _baseline_count(loj_dense_plan, queries)
-        evaluator.JOIN_REORDERING = False
-        evaluator.CLOSURE_CACHING = True
-        count = benchmark(
-            lambda: search_plan(queries["#2"], loj_dense_plan).count
-        )
-        assert count == expected
-
-    def test_without_cache(self, benchmark, loj_dense_plan, queries,
-                           restore_flags):
-        expected = _baseline_count(loj_dense_plan, queries)
-        evaluator.JOIN_REORDERING = False
-        evaluator.CLOSURE_CACHING = False
-        count = benchmark(
-            lambda: search_plan(queries["#2"], loj_dense_plan).count
-        )
-        assert count == expected
 
 
 class _ScanOnlyGraph(Graph):
@@ -107,11 +55,16 @@ class _ScanOnlyGraph(Graph):
 
     Models what BGP matching costs without the SPO/POS/OSP permutation
     indexes (the DB2 RDF Store's "optimized for graph pattern matching"
-    property the paper leans on).
+    property the paper leans on).  The evaluator and planner only use
+    the ID-level API, so that is what is overridden; ``scans`` counts
+    the lookups that reached the override.
     """
 
-    def triples(self, subject=None, predicate=None, obj=None):
-        for s, p, o in super().triples():
+    scans = 0
+
+    def triples_ids(self, subject=None, predicate=None, obj=None):
+        type(self).scans += 1
+        for s, p, o in super().triples_ids():
             if subject is not None and s != subject:
                 continue
             if predicate is not None and p != predicate:
@@ -120,7 +73,7 @@ class _ScanOnlyGraph(Graph):
                 continue
             yield (s, p, o)
 
-    def estimate(self, subject=None, predicate=None, obj=None):
+    def estimate_ids(self, subject=None, predicate=None, obj=None):
         return len(self)  # no statistics without indexes
 
 
@@ -139,6 +92,16 @@ def scan_only_plan(pattern_b_plan):
     return clone
 
 
+def _best_of(runs, fn):
+    best = None
+    for _ in range(runs):
+        started = time.perf_counter()
+        fn()
+        elapsed = time.perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
 class TestIndexes:
     def test_indexed_lookup(self, benchmark, pattern_b_plan, queries):
         benchmark(lambda: search_plan(queries["#1"], pattern_b_plan).count)
@@ -146,7 +109,22 @@ class TestIndexes:
     def test_scan_only_lookup(self, benchmark, scan_only_plan,
                               pattern_b_plan, queries):
         expected = search_plan(queries["#1"], pattern_b_plan).count
+        _ScanOnlyGraph.scans = 0
         count = benchmark(
             lambda: search_plan(queries["#1"], scan_only_plan).count
         )
         assert count == expected
+        assert _ScanOnlyGraph.scans > 0, "scan-only arm never scanned"
+
+    def test_scan_only_is_slower(self, scan_only_plan, pattern_b_plan,
+                                 queries):
+        indexed = _best_of(
+            3, lambda: search_plan(queries["#1"], pattern_b_plan)
+        )
+        scanned = _best_of(
+            3, lambda: search_plan(queries["#1"], scan_only_plan)
+        )
+        assert scanned > indexed, (
+            f"scan-only {scanned * 1e3:.2f} ms vs indexed "
+            f"{indexed * 1e3:.2f} ms"
+        )

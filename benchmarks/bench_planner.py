@@ -1,27 +1,28 @@
-"""Cost-based planner A/B: planned vs legacy per-solution-greedy (cold).
+"""Cost-based planner A/B: planned vs unplanned written order (cold).
 
+The unplanned arm is :func:`repro.sparql.planner.planning` switched off:
+BGPs join in written order and both-free closures seed from every node.
 Two workloads, each attacking a different planner product:
 
 **Join ordering** — a linked-catalog shape: N "left" entries tagged with
 a shared literal, N "right" entries likewise, and a ``p:link`` edge from
 each left to its right.  The query anchors both ends by tag and connects
-them with ``p:link+``.  The legacy greedy ranks patterns most-bound-
-first, so after the first anchor it joins the *other* anchor (2 bound
-positions) before the path (1 bound position) — an N x N cartesian
-product filtered down afterwards.  The cost-based DP sees from the
-store's exact cardinalities that routing through the path costs ~64 N
-instead of N^2 and avoids the trap.  This is the >= 5x acceptance bar
-(it's ~50x at N=400, and grows with N).
+them with ``p:link+``, and it is written with the second anchor before
+the path — so the written order joins the two anchors into an N x N
+cartesian product and only then filters it through the path.  The
+cost-based DP sees from the store's exact cardinalities that routing
+through the path costs ~64 N instead of N^2 and avoids the trap.  This
+is the >= 5x acceptance bar (it's ~100x at N=400, and grows with N).
 
 **Closure direction & membership** — the robustness suite's pathological
 query (mutual reachability over the cyclic stream-edge alternation,
-both endpoints free) at a size the legacy evaluator can still finish.
+both endpoints free) at a size the unplanned evaluator can still finish.
 The planner seeds the both-free closure only from nodes carrying stream
-edges and turns the second, both-bound closure pattern into an O(1)
-memoized membership test per candidate pair.  The speedup is recorded,
-and a budget-completion assert (enforced even in CI's perf-smoke mode)
-requires the planned workload to finish under a wall-clock deadline
-without an EvaluationTimeout.
+edges.  (The both-bound second closure pattern is an O(1) memoized
+membership test per candidate pair in both arms.)  The speedup is
+recorded, and a budget-completion assert (enforced even in CI's
+perf-smoke mode) requires the planned workload to finish under a
+wall-clock deadline without an EvaluationTimeout.
 
 Both sides of both workloads run cold (plan memo and closure cache
 dropped before every pass) and must produce identical result sets.
@@ -51,8 +52,8 @@ CATALOG_SIZE = 400
 CATALOG_SPARQL = """PREFIX p: <http://optimatch/predicate#>
 SELECT ?a ?b WHERE {
   ?a p:tag "left" .
-  ?a p:link+ ?b .
   ?b p:tag2 "right" .
+  ?a p:link+ ?b .
 }"""
 
 STREAM_PATH = (
@@ -104,21 +105,6 @@ def closure_query():
     return prepare_query(BOTH_FREE_SPARQL)
 
 
-class _PlannerConfig:
-    """Pin COST_PLANNER for one measured pass."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-
-    def __enter__(self):
-        self._saved = evaluator.COST_PLANNER
-        evaluator.COST_PLANNER = self.enabled
-        return self
-
-    def __exit__(self, *exc):
-        evaluator.COST_PLANNER = self._saved
-
-
 def _drop_caches(graphs):
     """Force a cold run: no memoized plans, no memoized closures."""
     for graph in graphs:
@@ -143,7 +129,7 @@ def _canonical(rows):
 def _run_cold(query, graphs, enabled: bool):
     _drop_caches(graphs)
     rows = []
-    with _PlannerConfig(enabled):
+    with planner.planning(enabled):
         started = time.perf_counter()
         for graph in graphs:
             rows.extend(_rows(query, graph))
@@ -171,7 +157,7 @@ def test_catalog_rows_identical_and_planner_avoids_cartesian(
     assert len(planned) == CATALOG_SIZE
     # the planned order routes through the path, not the N x N join
     _drop_caches([catalog_graph])
-    with _PlannerConfig(True):
+    with planner.planning(True):
         report = explain(CATALOG_SPARQL, _FakeTransformed(catalog_graph))
     assert report.plans
     order = report.plans[0]["order"]
@@ -194,7 +180,7 @@ def test_planned_closure_workload_finishes_under_budget(
     graphs = [tp.graph for tp in closure_workload]
     _drop_caches(graphs)
     budget = Budget(timeout_ms=10_000)
-    with _PlannerConfig(True), limits.activate(budget):
+    with planner.planning(True), limits.activate(budget):
         for graph in graphs:
             _rows(closure_query, graph)  # raises EvaluationTimeout on failure
     assert not budget.expired()
@@ -217,11 +203,11 @@ def test_explain_reports_closure_direction(closure_workload):
     visible with the planner on and absent with it off."""
     transformed = closure_workload[0]
     _drop_caches([transformed.graph])
-    with _PlannerConfig(False):
+    with planner.planning(False):
         before = explain(BOTH_FREE_SPARQL, transformed)
     assert before.closure_plans == []
     _drop_caches([transformed.graph])
-    with _PlannerConfig(True):
+    with planner.planning(True):
         after = explain(BOTH_FREE_SPARQL, transformed)
     assert after.closure_plans, "planner on: EXPLAIN must show the decision"
     decision = after.closure_plans[0]
@@ -250,17 +236,17 @@ def test_planner_report(
     clo_speedup = clo_unplanned_s / clo_planned_s
 
     _drop_caches(closure_graphs)
-    with _PlannerConfig(True):
+    with planner.planning(True):
         report = explain(BOTH_FREE_SPARQL, closure_workload[0])
     decisions = report.closure_plans
 
     lines = [
-        "Cost-based planner A/B (cold caches, planned vs per-solution greedy)",
+        "Cost-based planner A/B (cold caches, planned vs written order)",
         f"  join ordering (linked catalog, N={CATALOG_SIZE}): "
         f"unplanned {cat_unplanned_s * 1e3:8.1f} ms, "
         f"planned {cat_planned_s * 1e3:6.1f} ms "
-        f"-> {cat_speedup:.1f}x (DP routes through the path; greedy "
-        "joins the second anchor into an N x N cartesian)",
+        f"-> {cat_speedup:.1f}x (DP routes through the path; written "
+        "order joins the second anchor into an N x N cartesian)",
         f"  closure workload ({PLAN_COUNT} plans of {PLAN_SIZE} operators, "
         "both-free mutual reachability): "
         f"unplanned {clo_unplanned_s * 1e3:8.1f} ms, "
@@ -304,6 +290,6 @@ def test_planner_report(
     # 5x bar is enforced on full local runs.
     if os.environ.get("OPTIMATCH_PERF_SMOKE") != "1":
         assert cat_speedup >= 5.0, (
-            f"planner must be >= 5x the greedy evaluator cold on the "
+            f"planner must be >= 5x the written-order join cold on the "
             f"join-ordering workload, got {cat_speedup:.2f}x"
         )

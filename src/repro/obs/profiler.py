@@ -87,65 +87,6 @@ def _format_pattern(tp: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# Index-choice mirror
-# ----------------------------------------------------------------------
-def _index_for(s_bound: bool, p_bound: bool, o_bound: bool, is_path: bool) -> str:
-    """Which store index a lookup with this boundness walks.
-
-    Mirrors the branch order of :meth:`Graph.triples_ids`: a bound
-    subject routes through SPO unless only the object joins it (then the
-    OSP cell); otherwise a bound predicate uses POS, a bound object OSP,
-    and nothing bound is a full SPO scan.  Property paths do per-step
-    lookups of their own and are reported as closure work instead.
-    """
-    if is_path:
-        return "path"
-    if s_bound:
-        if not p_bound and o_bound:
-            return "OSP"
-        return "SPO"
-    if p_bound:
-        return "POS"
-    if o_bound:
-        return "OSP"
-    return "SPO-scan"
-
-
-def _boundness(pattern: Any, bindings: Any) -> Tuple[bool, bool, bool, bool]:
-    """(s_bound, p_bound, o_bound, is_path) for a probe ``pattern_input``.
-
-    Handles both probe payload shapes: a compiled ID-space tuple with
-    ``Variable -> int`` bindings, or a source ``TriplePattern`` with
-    ``Variable -> Term`` bindings.
-    """
-    from repro.rdf.term import Variable
-    from repro.sparql import ast
-    from repro.sparql.evaluator import _PATH, _VAR
-
-    if isinstance(pattern, tuple):  # compiled ID-space pattern
-        s_spec, p_spec, o_spec = pattern[0], pattern[1], pattern[2]
-
-        def bound(spec) -> bool:
-            # _GROUND and _ABSENT are statically bound; a _VAR position
-            # is bound when the current solution carries it.
-            return spec[0] != _VAR or spec[1] in bindings
-
-        is_path = p_spec[0] == _PATH
-        return bound(s_spec), (not is_path and bound(p_spec)), bound(o_spec), is_path
-
-    def term_bound(term) -> bool:
-        return not isinstance(term, Variable) or term in bindings
-
-    is_path = isinstance(pattern.predicate, ast.Path)
-    return (
-        term_bound(pattern.subject),
-        (not is_path and term_bound(pattern.predicate)),
-        term_bound(pattern.obj),
-        is_path,
-    )
-
-
-# ----------------------------------------------------------------------
 # Collected profiles
 # ----------------------------------------------------------------------
 @dataclass
@@ -227,16 +168,16 @@ class CollectingProbe(EvalProbe):
         self._estimates: Dict[str, float] = {}
 
     # -- EvalProbe hooks ----------------------------------------------
-    def bgp(self, patterns: Sequence[Any], compiled: Optional[Sequence[Any]]) -> None:
+    def bgp(self, patterns: Sequence[Any], compiled: Sequence[Any]) -> None:
         with self._lock:
-            keys = compiled if compiled is not None else patterns
-            for source, key_obj in zip(patterns, keys):
-                self._display[id(key_obj)] = _format_pattern(source)
-                self._pinned.append(key_obj)
+            self._register(patterns, compiled)
 
     def pattern_input(self, pattern: Any, bindings: Any) -> None:
-        s_bound, p_bound, o_bound, is_path = _boundness(pattern, bindings)
-        index = _index_for(s_bound, p_bound, o_bound, is_path)
+        # The index the store walks follows from which positions the
+        # current solution binds — the same rule the planner costs with.
+        from repro.sparql.planner import _index_for_bounds, _pattern_boundness
+
+        index = _index_for_bounds(*_pattern_boundness(pattern, bindings))
         with self._lock:
             profile = self._profile_for(pattern)
             profile.inputs += 1
@@ -275,10 +216,7 @@ class CollectingProbe(EvalProbe):
 
     def bgp_plan(self, patterns, compiled, plan) -> None:
         with self._lock:
-            keys = compiled if compiled is not None else patterns
-            for source, key_obj in zip(patterns, keys):
-                self._display[id(key_obj)] = _format_pattern(source)
-                self._pinned.append(key_obj)
+            self._register(patterns, compiled)
             texts = [_format_pattern(patterns[i]) for i in plan.order]
             dedup = (tuple(texts), plan.method, tuple(plan.indexes))
             if dedup in self._plan_keys:
@@ -304,11 +242,18 @@ class CollectingProbe(EvalProbe):
                 self._closure_plans[key] = {"path": text, **decision}
 
     # -- aggregation ---------------------------------------------------
+    def _register(self, patterns: Sequence[Any], compiled: Sequence[Any]) -> None:
+        # Caller holds the lock.  Maps each compiled tuple's identity to
+        # the display text of its source pattern.
+        for source, key_obj in zip(patterns, compiled):
+            self._display[id(key_obj)] = _format_pattern(source)
+            self._pinned.append(key_obj)
+
     def _profile_for(self, pattern: Any) -> PatternProfile:
         # Caller holds the lock.
         text = self._display.get(id(pattern))
-        if text is None:  # pattern never registered (direct _eval_bgp use)
-            text = _format_pattern(pattern) if not isinstance(pattern, tuple) else repr(pattern)
+        if text is None:  # compiled outside a probed BGP join
+            text = repr(pattern)
             self._display[id(pattern)] = text
             self._pinned.append(pattern)
         profile = self._patterns.get(text)

@@ -57,14 +57,6 @@ def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
 class Graph:
     """A set of RDF triples with int-keyed SPO / POS / OSP indexes."""
 
-    #: Capability flag: this store exposes the full ID-level API
-    #: (``term_id`` / ``triples_ids`` / ``estimate_ids`` / planner
-    #: statistics).  The SPARQL evaluator and cost planner key on this
-    #: attribute rather than ``isinstance(graph, Graph)`` so read-only
-    #: stand-ins — notably :class:`repro.rdf.snapshot.GraphView` over a
-    #: shared-memory snapshot — take the same compiled ID-space paths.
-    supports_id_api = True
-
     def __init__(self, identifier: Optional[str] = None):
         self.identifier = identifier
         self._dict = TermDictionary()
@@ -536,8 +528,7 @@ class Graph:
     ) -> int:
         """Cheap count of matching triples (exact for this store).
 
-        Used by the SPARQL evaluator's greedy join ordering and by
-        :meth:`count`.  Every case is O(1) or O(distinct predicates of
+        Used by :meth:`count`.  Every case is O(1) or O(distinct predicates of
         one node) — never a scan — and, because the permutation indexes
         and per-predicate totals are exact, so is the result.
         """

@@ -296,7 +296,7 @@ class GraphView:
     """Read-only graph over a snapshot buffer; evaluator/planner ready.
 
     Implements the full ID-level API of :class:`~repro.rdf.graph.Graph`
-    plus the term-level read methods the evaluator's fallback paths use
+    the evaluator and planner run on, plus the term-level read methods
     (``triples`` / ``estimate`` / ``subject_set`` / ``contains``), with
     identical semantics *and identical enumeration order*.  Mutation is
     not supported — the buffer is shared and immutable by contract.
@@ -307,10 +307,6 @@ class GraphView:
     view accumulating those caches is exactly how the process pool
     amortizes warm-up across searches.
     """
-
-    #: Capability flag the evaluator/planner key on (instead of an
-    #: ``isinstance(graph, Graph)`` check) to select the ID-space path.
-    supports_id_api = True
 
     def __init__(self, buffer, offset: int = 0, length: Optional[int] = None):
         mv = memoryview(buffer)

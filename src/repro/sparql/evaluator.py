@@ -1,39 +1,41 @@
 """SPARQL query evaluation over :class:`repro.rdf.Graph`.
 
 Evaluation is streaming where possible: a group graph pattern produces an
-iterator of binding dictionaries (``Variable -> Term``).  Basic graph
-patterns are ordered ahead of time by the cost-based planner
-(:mod:`repro.sparql.planner`) — exact DP over join orders for small
-BGPs, greedy cheapest-next-connected for large ones, memoized per
-(pattern set, bound vars, graph version) — with the original
-per-solution greedy (most-bound positions, estimate tie-break) retained
-as the ``COST_PLANNER = False`` ablation.  Property paths are evaluated
-with breadth-first fixpoints, matching SPARQL 1.1 semantics for
-``/ | ^ + * ?``; both-ends-free closures are seeded from the planner's
-cheaper endpoint set instead of every graph node, and closures with
-both ends bound become memoized membership tests.
-
-Against a dictionary-encoded :class:`~repro.rdf.graph.Graph`, the BGP
-join core and the property-path fixpoints run entirely in **ID space**:
-query terms are encoded once per BGP, bindings are carried as
+iterator of binding dictionaries (``Variable -> Term``).  There is one
+evaluator core, and it runs in **ID space** against the store's
+dictionary encoding (:class:`~repro.rdf.graph.Graph` and its read-only
+shared-memory stand-in :class:`~repro.rdf.snapshot.GraphView`): query
+terms are encoded once per BGP, bindings are carried as
 ``Variable -> int`` dictionaries, conflict checks compare machine ints,
 and terms are decoded only when solutions cross back into the term world
-(FILTER evaluation, OPTIONAL/UNION sub-groups, projection).  A graph
-object without the ID-level API (or the ``ID_SPACE_JOIN`` ablation
-switch turned off) falls back to the original term-space path; both
-paths enumerate the same matches in the same order because they iterate
-the same underlying indexes.
+(FILTER evaluation, OPTIONAL/UNION sub-groups, projection).
+
+Basic graph patterns are joined in an order fixed ahead of time by the
+cost-based planner (:mod:`repro.sparql.planner`) — exact DP over join
+orders for small BGPs, greedy cheapest-next-connected for large ones,
+memoized per (pattern set, bound vars, graph version).  Property paths
+are evaluated with breadth-first fixpoints, matching SPARQL 1.1
+semantics for ``/ | ^ + * ?``; closures are memoized per graph, a
+closure with both ends bound is a memoized membership test, and a
+both-ends-free closure is seeded from the planner's cheaper endpoint set
+instead of every graph node.
+
+The only evaluator option is the planner switch,
+:func:`repro.sparql.planner.planning`, read once per BGP join and once
+per both-free closure.  With planning off, BGPs join in written order
+and both-free closures seed from every node; benchmarks and tests use
+it as the ablation arm.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.limits import active_budget
 from repro.obs.instrument import active_probe
 from repro.rdf.graph import Graph
-from repro.rdf.term import BNode, Literal, Term, URIRef, Variable
+from repro.rdf.term import Literal, Term, URIRef, Variable
 from repro.sparql import ast, planner
 from repro.sparql.functions import (
     ExprError,
@@ -46,30 +48,6 @@ from repro.sparql.results import ResultRow, ResultSet
 Bindings = Dict[Variable, Term]
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
-
-#: Ablation switches (used by benchmarks; leave True in production).
-#: JOIN_REORDERING toggles greedy estimate-based BGP ordering;
-#: CLOSURE_CACHING toggles the per-graph property-path closure memo;
-#: ID_SPACE_JOIN toggles the dictionary-encoded (int-space) BGP core;
-#: COST_PLANNER toggles the ahead-of-time cost-based plans (BGP join
-#: order and closure direction/seeding) — off, evaluation falls back to
-#: the per-solution greedy and the full-node-scan closure paths.
-JOIN_REORDERING = True
-CLOSURE_CACHING = True
-ID_SPACE_JOIN = True
-COST_PLANNER = True
-
-
-def _id_capable(graph) -> bool:
-    """Does *graph* expose the full ID-level store API?
-
-    A capability check rather than ``isinstance(graph, Graph)``: the
-    compiled ID-space join core, the cost planner and the closure BFS
-    must also engage for :class:`repro.rdf.snapshot.GraphView` — the
-    zero-copy shared-memory stand-in the multiprocess pool evaluates
-    against — and for any future store that advertises the API.
-    """
-    return getattr(graph, "supports_id_api", False)
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +120,7 @@ def eval_group(
         element = patterns[index]
         if isinstance(element, ast.TriplePattern):
             # Batch this run of consecutive triple patterns into one BGP
-            # so the greedy reorderer sees them all.
+            # so the planner sees them all.
             run: List[ast.TriplePattern] = []
             while index < len(patterns) and isinstance(
                 patterns[index], ast.TriplePattern
@@ -267,8 +245,32 @@ def _passes_filters(
 
 
 # ----------------------------------------------------------------------
-# Basic graph patterns with greedy reordering
+# Basic graph patterns: the planned ID-space join
 # ----------------------------------------------------------------------
+#: Position-spec kinds for compiled triple patterns.  The planner owns
+#: the compiled-pattern spec vocabulary (it consumes compiled patterns
+#: but must not import this module); module-level aliases keep the
+#: matching loop free of attribute lookups.
+_GROUND = planner.GROUND  # pre-encoded dictionary ID
+_VAR = planner.VAR        # a Variable, resolved against the ID bindings
+_ABSENT = planner.ABSENT  # ground term not in the dictionary: matches nothing
+_PATH = planner.PATH      # predicate position only: a property path
+
+IdBindings = Dict[Variable, int]
+
+#: A compiled pattern: ``(s_spec, p_spec, o_spec, variables)`` where each
+#: spec is a ``(kind, payload)`` pair and *variables* lists the Variable
+#: payloads of the _VAR positions (one entry per occurrence).  Ground
+#: terms are encoded ONCE per _join_bgp call instead of per recursion
+#: step per solution.
+_CompiledPattern = Tuple[
+    Tuple[int, object],
+    Tuple[int, object],
+    Tuple[int, object],
+    Tuple[Variable, ...],
+]
+
+
 def _join_bgp(
     stream: Iterable[Bindings], patterns: List[ast.TriplePattern], graph: Graph
 ) -> Iterator[Bindings]:
@@ -277,237 +279,29 @@ def _join_bgp(
     # threaded down the recursion; with no probe installed every hook
     # site below is a single ``is not None`` check.
     probe = active_probe()
-    encoded = ID_SPACE_JOIN and _id_capable(graph)
-    # Planning needs compiled patterns (for the static cost model) even
-    # on the term-space path, and applies identically to both join
-    # cores so they keep emitting solutions in the same order.
-    planned = (
-        COST_PLANNER
-        and JOIN_REORDERING
-        and len(patterns) > 1
-        and _id_capable(graph)
-    )
-    compiled = _compile_bgp(patterns, graph) if (encoded or planned) else None
+    compiled = _compile_bgp(patterns, graph)
     if probe is not None:
-        probe.bgp(patterns, compiled if encoded else None)
-    if planned:
-        # One plan per distinct bound-variable set; within this call the
-        # (tiny) set of orders seen is cached locally so the per-graph
-        # memo is consulted once per bound set, not per solution.
-        pattern_vars = frozenset(v for cp in compiled for v in cp[3])
-        orders: Dict[frozenset, list] = {}
-        reported: Set[int] = set()
-        source = compiled if encoded else patterns
-        for solution in stream:
-            bound = frozenset(solution) & pattern_vars
-            ordered = orders.get(bound)
-            if ordered is None:
-                plan = planner.plan_bgp(patterns, compiled, graph, bound)
-                if probe is not None and id(plan) not in reported:
-                    reported.add(id(plan))
-                    probe.bgp_plan(patterns, compiled if encoded else None, plan)
-                ordered = [source[i] for i in plan.order]
-                orders[bound] = ordered
-            if encoded:
-                yield from _eval_bgp_encoded(
-                    ordered, graph, solution, budget, probe, planned=True
-                )
-            else:
-                yield from _eval_bgp_ordered(
-                    ordered, 0, graph, solution, budget, probe
-                )
-        return
-    if encoded:
+        probe.bgp(patterns, compiled)
+    if len(patterns) == 1 or not planner.planning_enabled():
+        # Unplanned: join in written order.
         for solution in stream:
             yield from _eval_bgp_encoded(compiled, graph, solution, budget, probe)
         return
+    # One plan per distinct bound-variable set; within this call the
+    # (tiny) set of orders seen is cached locally so the per-graph memo
+    # is consulted once per bound set, not per solution.
+    pattern_vars = frozenset(v for cp in compiled for v in cp[3])
+    orders: Dict[frozenset, list] = {}
     for solution in stream:
-        yield from _eval_bgp(patterns, graph, solution, budget, probe)
-
-
-def _eval_bgp(
-    patterns: List[ast.TriplePattern],
-    graph: Graph,
-    bindings: Bindings,
-    budget=None,
-    probe=None,
-) -> Iterator[Bindings]:
-    if not patterns:
-        yield bindings
-        return
-    remaining = list(patterns)
-    order = _choose_next(remaining, bindings, graph)
-    pattern = remaining.pop(order)
-    if probe is not None:
-        probe.pattern_input(pattern, bindings)
-    for extended in _match_triple(pattern, graph, bindings):
-        if budget is not None:
-            budget.tick()
-        if probe is not None:
-            probe.pattern_output(pattern)
-        yield from _eval_bgp(remaining, graph, extended, budget, probe)
-
-
-def _eval_bgp_ordered(
-    ordered: List[ast.TriplePattern],
-    position: int,
-    graph: Graph,
-    bindings: Bindings,
-    budget=None,
-    probe=None,
-) -> Iterator[Bindings]:
-    """Term-space BGP recursion over a planner-fixed pattern order."""
-    if position == len(ordered):
-        yield bindings
-        return
-    pattern = ordered[position]
-    if probe is not None:
-        probe.pattern_input(pattern, bindings)
-    position += 1
-    for extended in _match_triple(pattern, graph, bindings):
-        if budget is not None:
-            budget.tick()
-        if probe is not None:
-            probe.pattern_output(pattern)
-        yield from _eval_bgp_ordered(
-            ordered, position, graph, extended, budget, probe
-        )
-
-
-#: Assumed result sizes for property-path patterns by number of bound
-#: endpoints (0, 1, 2).  A path with a bound endpoint explores one BFS
-#: closure, which on plan graphs is far cheaper than enumerating a large
-#: unbound candidate set first.
-_PATH_ESTIMATES = (1 << 30, 64, 2)
-
-
-def _choose_next(
-    patterns: List[ast.TriplePattern], bindings: Bindings, graph: Graph
-) -> int:
-    """Index of the cheapest remaining pattern under the current bindings.
-
-    Two-phase greedy: rank first by number of bound positions (cheap);
-    break ties with exact index-based estimates from the triple store
-    (property paths use a coarse bound-endpoint heuristic).  The tie
-    break is what routes recursive queries through the bound end of a
-    path instead of enumerating a large unbound candidate set.
-    """
-    if len(patterns) == 1 or not JOIN_REORDERING:
-        return 0
-
-    def bound_count(tp: ast.TriplePattern) -> int:
-        count = 0
-        if not isinstance(tp.subject, Variable) or tp.subject in bindings:
-            count += 1
-        if not isinstance(tp.predicate, ast.Path):
-            if not isinstance(tp.predicate, Variable) or tp.predicate in bindings:
-                count += 1
-        if not isinstance(tp.obj, Variable) or tp.obj in bindings:
-            count += 1
-        return count
-
-    counts = [bound_count(tp) for tp in patterns]
-    best_count = max(counts)
-    candidates = [i for i, c in enumerate(counts) if c == best_count]
-    if len(candidates) == 1:
-        return candidates[0]
-
-    def estimate(tp: ast.TriplePattern) -> Tuple[int, int]:
-        subject = _resolve(tp.subject, bindings)
-        obj = _resolve(tp.obj, bindings)
-        if isinstance(tp.predicate, ast.Path):
-            bound_ends = (subject is not None) + (obj is not None)
-            return (_PATH_ESTIMATES[bound_ends], 1)
-        predicate = _resolve(tp.predicate, bindings)
-        return (graph.estimate(subject, predicate, obj), 0)
-
-    return min(candidates, key=lambda i: estimate(patterns[i]))
-
-
-def _resolve(term: Term, bindings: Bindings) -> Optional[Term]:
-    """Ground value of *term* under bindings, or None if still free."""
-    if isinstance(term, Variable):
-        return bindings.get(term)
-    return term
-
-
-def _match_triple(
-    pattern: ast.TriplePattern, graph: Graph, bindings: Bindings
-) -> Iterator[Bindings]:
-    subject = _resolve(pattern.subject, bindings)
-    obj = _resolve(pattern.obj, bindings)
-    predicate = pattern.predicate
-    if isinstance(predicate, ast.Path):
-        for s_val, o_val in eval_path(predicate, graph, subject, obj):
-            extended = _extend(bindings, pattern.subject, s_val)
-            if extended is None:
-                continue
-            extended = _extend(extended, pattern.obj, o_val)
-            if extended is not None:
-                yield extended
-        return
-    pred = _resolve(predicate, bindings)
-    for s_val, p_val, o_val in graph.triples(subject, pred, obj):
-        extended = _extend(bindings, pattern.subject, s_val)
-        if extended is None:
-            continue
-        extended = _extend(extended, predicate, p_val)
-        if extended is None:
-            continue
-        extended = _extend(extended, pattern.obj, o_val)
-        if extended is not None:
-            yield extended
-
-
-def _extend(bindings: Bindings, term: Term, value: Term) -> Optional[Bindings]:
-    """Bind *term* (if a variable) to *value*; None on conflict."""
-    if not isinstance(term, Variable):
-        return bindings
-    bound = bindings.get(term)
-    if bound is None:
-        new = dict(bindings)
-        new[term] = value
-        return new
-    if bound == value:
-        return bindings
-    return None
-
-
-# ----------------------------------------------------------------------
-# ID-space BGP join core (dictionary-encoded graphs)
-# ----------------------------------------------------------------------
-#: Sentinel for a pattern position whose ground value is provably absent
-#: from the graph dictionary (real IDs are always >= 0).  A pattern with
-#: an unmatchable position matches nothing.  The planner owns the
-#: compiled-pattern spec vocabulary (it consumes compiled patterns but
-#: must not import this module); the historical underscore names are
-#: kept here for the profiler and tests.
-_UNMATCHABLE = planner.UNMATCHABLE
-
-#: Position-spec kinds for compiled triple patterns.
-_GROUND = planner.GROUND  # pre-encoded dictionary ID
-_VAR = planner.VAR        # a Variable, resolved against the ID bindings
-_ABSENT = planner.ABSENT  # ground term not in the dictionary: matches nothing
-_PATH = planner.PATH      # predicate position only: a property path
-
-IdBindings = Dict[Variable, int]
-
-#: A compiled pattern: (subject_spec, predicate_spec, object_spec) where
-#: each spec is a (kind, payload) pair.  Ground terms are encoded ONCE
-#: per _join_bgp call instead of per recursion step per solution.
-#: (s_spec, p_spec, o_spec, variables, static_bound) — the last two are
-#: precomputed for the join-order heuristic: *variables* lists the
-#: Variable payloads of the _VAR positions (one entry per occurrence),
-#: *static_bound* counts the positions that are bound regardless of the
-#: current solution (_GROUND / _ABSENT; _PATH predicates count zero,
-#: matching the term-space heuristic).
-_CompiledPattern = Tuple[
-    Tuple[int, object],
-    Tuple[int, object],
-    Tuple[int, object],
-    Tuple[Variable, ...],
-    int,
-]
+        bound = frozenset(solution) & pattern_vars
+        ordered = orders.get(bound)
+        if ordered is None:
+            plan = planner.plan_bgp(patterns, compiled, graph, bound)
+            if probe is not None:
+                probe.bgp_plan(patterns, compiled, plan)
+            ordered = [compiled[i] for i in plan.order]
+            orders[bound] = ordered
+        yield from _eval_bgp_encoded(ordered, graph, solution, budget, probe)
 
 
 def _compile_bgp(
@@ -530,33 +324,27 @@ def _compile_bgp(
             p_spec = position(pred)
         s_spec = position(tp.subject)
         o_spec = position(tp.obj)
-        pat_vars: List[Variable] = []
-        static_bound = 0
-        for spec in (s_spec, p_spec, o_spec):
-            if spec[0] == _VAR:
-                pat_vars.append(spec[1])
-            elif spec[0] != _PATH:
-                static_bound += 1
-        compiled.append((s_spec, p_spec, o_spec, tuple(pat_vars), static_bound))
+        pat_vars = tuple(
+            spec[1] for spec in (s_spec, p_spec, o_spec) if spec[0] == _VAR
+        )
+        compiled.append((s_spec, p_spec, o_spec, pat_vars))
     return compiled
 
 
 def _eval_bgp_encoded(
-    compiled: List[_CompiledPattern],
+    ordered: List[_CompiledPattern],
     graph: Graph,
     bindings: Bindings,
     budget=None,
     probe=None,
-    planned: bool = False,
 ) -> Iterator[Bindings]:
-    """Evaluate a compiled BGP in ID space, decoding only at the boundary.
+    """Join *ordered* in the given order in ID space, decoding only at
+    the boundary.
 
     Incoming term bindings are encoded once; variables bound to terms
     the graph has never seen go into *dead* — any pattern referencing
     one matches nothing, while solutions not touching it pass through
-    with the original term binding intact.  With *planned* true,
-    *compiled* is already in plan order and evaluated as-is; otherwise
-    the per-solution greedy picks the order.
+    with the original term binding intact.
     """
     ids: IdBindings = {}
     dead: Set[Variable] = set()
@@ -568,14 +356,9 @@ def _eval_bgp_encoded(
         else:
             ids[var] = tid
     id_term = graph.id_term
-    if planned:
-        solutions = _eval_bgp_ids_ordered(
-            compiled, 0, graph, ids, dead, _NO_SPELL, budget, probe
-        )
-    else:
-        solutions = _eval_bgp_ids(
-            compiled, graph, ids, dead, _NO_SPELL, budget, probe
-        )
+    solutions = _eval_bgp_ids_ordered(
+        ordered, 0, graph, ids, dead, _NO_SPELL, budget, probe
+    )
     for solution_ids, spell in solutions:
         out = dict(bindings)
         for var, tid in solution_ids.items():
@@ -590,33 +373,6 @@ def _eval_bgp_encoded(
 _NO_SPELL: Dict[Variable, Term] = {}
 
 
-def _eval_bgp_ids(
-    compiled: List[_CompiledPattern],
-    graph: Graph,
-    ids: IdBindings,
-    dead: Set[Variable],
-    spell: Dict[Variable, Term],
-    budget=None,
-    probe=None,
-) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
-    if not compiled:
-        yield ids, spell
-        return
-    remaining = list(compiled)
-    order = _choose_next_ids(remaining, ids, dead, graph)
-    pattern = remaining.pop(order)
-    if probe is not None:
-        probe.pattern_input(pattern, ids)
-    for ext_ids, ext_spell in _match_triple_ids(pattern, graph, ids, dead, spell):
-        if budget is not None:
-            budget.tick()
-        if probe is not None:
-            probe.pattern_output(pattern)
-        yield from _eval_bgp_ids(
-            remaining, graph, ext_ids, dead, ext_spell, budget, probe
-        )
-
-
 def _eval_bgp_ids_ordered(
     ordered: List[_CompiledPattern],
     position: int,
@@ -627,11 +383,7 @@ def _eval_bgp_ids_ordered(
     budget=None,
     probe=None,
 ) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
-    """ID-space BGP recursion over a planner-fixed pattern order.
-
-    Skipping the per-solution ``_choose_next_ids`` is itself a win on
-    deep joins: the order was decided once from static selectivities.
-    """
+    """ID-space BGP recursion over a fixed pattern order."""
     if position == len(ordered):
         yield ids, spell
         return
@@ -649,102 +401,6 @@ def _eval_bgp_ids_ordered(
         )
 
 
-def _resolve_spec(
-    spec: Tuple[int, object], ids: IdBindings, dead: Set[Variable]
-) -> Optional[int]:
-    """ID of a compiled position under the bindings: an int when ground
-    and present, ``None`` when still free, ``_UNMATCHABLE`` when the
-    pattern provably matches nothing through this position."""
-    kind, payload = spec
-    if kind == _GROUND:
-        return payload
-    if kind == _VAR:
-        if dead and payload in dead:
-            return _UNMATCHABLE
-        return ids.get(payload)
-    return _UNMATCHABLE  # _ABSENT
-
-
-def _choose_next_ids(
-    compiled: List[_CompiledPattern],
-    ids: IdBindings,
-    dead: Set[Variable],
-    graph: Graph,
-) -> int:
-    """ID-space twin of :func:`_choose_next` (same two-phase greedy).
-
-    The ranking decisions are bit-identical to the term-space version:
-    a compiled _ABSENT position corresponds to a ground term for which
-    ``graph.estimate`` would return 0, and bound/free classification of
-    variables is unchanged.
-    """
-    if len(compiled) == 1 or not JOIN_REORDERING:
-        return 0
-
-    # Phase 1: most-bound-positions-first.  A compiled pattern carries
-    # its static bound count and variable occurrences, so this is a
-    # membership check per variable — no spec unpacking in the loop.
-    best_count = -1
-    candidates: List[int] = []
-    for i, cp in enumerate(compiled):
-        count = cp[4]
-        for var in cp[3]:
-            if var in ids or (dead and var in dead):
-                count += 1
-        if count > best_count:
-            best_count = count
-            candidates = [i]
-        elif count == best_count:
-            candidates.append(i)
-    if len(candidates) == 1:
-        return candidates[0]
-
-    # Phase 2: cheapest estimate among the tied candidates.  Inlined
-    # _resolve_spec — this runs once per tied pattern per solution.
-    ids_get = ids.get
-    best_i = -1
-    best_key: Tuple[int, int] = (0, 0)
-    for i in candidates:
-        cp = compiled[i]
-        s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
-        kind, payload = s_spec
-        if kind == _GROUND:
-            subject = payload
-        elif kind == _VAR:
-            subject = _UNMATCHABLE if dead and payload in dead else ids_get(payload)
-        else:
-            subject = _UNMATCHABLE
-        kind, payload = o_spec
-        if kind == _GROUND:
-            obj = payload
-        elif kind == _VAR:
-            obj = _UNMATCHABLE if dead and payload in dead else ids_get(payload)
-        else:
-            obj = _UNMATCHABLE
-        if p_spec[0] == _PATH:
-            bound_ends = (subject is not None) + (obj is not None)
-            key = (_PATH_ESTIMATES[bound_ends], 1)
-        else:
-            kind, payload = p_spec
-            if kind == _GROUND:
-                predicate = payload
-            elif kind == _VAR:
-                predicate = (
-                    _UNMATCHABLE if dead and payload in dead else ids_get(payload)
-                )
-            else:
-                predicate = _UNMATCHABLE
-            if _UNMATCHABLE in (subject, predicate, obj):
-                # mirrors graph.estimate() == 0 for absent terms
-                key = (0, 0)
-            else:
-                key = (graph.estimate_ids(subject, predicate, obj), 0)
-        if best_i < 0 or key < best_key:
-            best_i = i
-            best_key = key
-    return best_i
-
-
 def _match_triple_ids(
     cp: _CompiledPattern,
     graph: Graph,
@@ -753,8 +409,8 @@ def _match_triple_ids(
     spell: Dict[Variable, Term],
 ) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
     s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
-    # Inlined _resolve_spec for all three positions — this is the hot
-    # loop of every BGP join; an unmatchable position returns early.
+    # Resolve all three positions inline — this is the hot loop of every
+    # BGP join; an unmatchable position returns early.
     kind, payload = s_spec
     if kind == _GROUND:
         subject = payload
@@ -808,7 +464,7 @@ def _match_triple_ids(
     # spelling differs from the dictionary representative must decode to
     # the cell's own spelling (the term-keyed store's behavior).  The
     # override is recorded only on first bind — re-matching the same
-    # value later keeps the original binding, exactly like _extend.
+    # value later keeps the original binding.
     track_spelling = obj is None and o_spec[0] == _VAR and graph.has_spellings
     for triple in graph.triples_ids(subject, pred, obj):
         if free:
@@ -860,82 +516,8 @@ def _extend_id(
 # ----------------------------------------------------------------------
 # Property paths
 # ----------------------------------------------------------------------
-def eval_path(
-    path: ast.Path, graph: Graph, subject: Optional[Term], obj: Optional[Term]
-) -> Iterator[Tuple[Term, Term]]:
-    """Yield (subject, object) pairs connected by *path*.
-
-    Either end may be bound (a ground term) or free (``None``).
-    """
-    if isinstance(path, ast.PathLink):
-        for s, _, o in graph.triples(subject, path.iri, obj):
-            yield (s, o)
-        return
-    if isinstance(path, ast.PathInverse):
-        for o, s in eval_path(path.path, graph, obj, subject):
-            yield (s, o)
-        return
-    if isinstance(path, ast.PathAlternative):
-        seen: Set[Tuple[Term, Term]] = set()
-        for part in path.parts:
-            for pair in eval_path(part, graph, subject, obj):
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-        return
-    if isinstance(path, ast.PathSequence):
-        yield from _eval_sequence(path.parts, graph, subject, obj)
-        return
-    if isinstance(path, ast.PathMod):
-        yield from _eval_mod(path, graph, subject, obj)
-        return
-    raise TypeError(f"unsupported path {path!r}")
-
-
-def _eval_sequence(
-    parts: Tuple[ast.Path, ...],
-    graph: Graph,
-    subject: Optional[Term],
-    obj: Optional[Term],
-) -> Iterator[Tuple[Term, Term]]:
-    if len(parts) == 1:
-        yield from eval_path(parts[0], graph, subject, obj)
-        return
-    # Evaluate left-to-right when the subject is bound (or both free),
-    # right-to-left when only the object is bound.
-    if subject is None and obj is not None:
-        last = parts[-1]
-        rest = parts[:-1]
-        seen: Set[Tuple[Term, Term]] = set()
-        for mid, o_val in eval_path(last, graph, None, obj):
-            for s_val, _ in _eval_sequence(rest, graph, None, mid):
-                pair = (s_val, o_val)
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-        return
-    first = parts[0]
-    rest = parts[1:]
-    seen = set()
-    for s_val, mid in eval_path(first, graph, subject, None):
-        for _, o_val in _eval_sequence(rest, graph, mid, obj):
-            pair = (s_val, o_val)
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
-
-
-def _path_successors(
-    path: ast.Path, graph: Graph, node: Term, forward: bool
-) -> Iterator[Term]:
-    """One application of *path* starting at *node*."""
-    if forward:
-        for _, target in eval_path(path, graph, node, None):
-            yield target
-    else:
-        for source, _ in eval_path(path, graph, None, node):
-            yield source
-
+# Paths are evaluated on dictionary IDs throughout: the BFS frontiers,
+# the dedup sets and the closure-cache entries all hold ints.
 
 # Per-graph memo for transitive-closure path evaluation.  Recursive
 # (descendant) patterns re-query the same closure for every candidate
@@ -977,99 +559,6 @@ def _closure_entries(graph: Graph) -> dict:
     return state["entries"]
 
 
-def _closure(
-    path: ast.Path, graph: Graph, start: Term, forward: bool
-) -> Iterator[Term]:
-    """Nodes reachable from *start* by one or more applications of *path*."""
-    probe = active_probe()
-    budget = active_budget()
-    cache = None
-    key = None
-    if CLOSURE_CACHING:
-        try:
-            cache = _closure_entries(graph)
-            # Key the path by identity, not value: hashing a nested path
-            # expression recursively on every lookup costs more than the
-            # BFS it saves.  The cached entry pins the path object so its
-            # id cannot be recycled while the entry lives.
-            key = (id(path), start, forward)
-            hit = cache.get(key)
-            if hit is not None:
-                if probe is not None:
-                    probe.closure(path, start, forward, None, cached=True)
-                # Warm hits still consume budget per yielded node: a
-                # cached closure feeds the same downstream join work as
-                # a cold one, and deadline/visit governance must see it.
-                if budget is None:
-                    yield from hit[1]
-                else:
-                    for node in hit[1]:
-                        budget.tick()
-                        yield node
-                return
-        except (TypeError, AttributeError):  # unhashable term / frozen graph
-            cache = None
-            key = None
-    # BFS discovery order, not set order: deterministic given the store,
-    # and identical to the ID-space closure over the same encoded graph
-    # (both walk the same int-keyed indexes).
-    frontier_sizes: Optional[List[int]] = [] if probe is not None else None
-    seen: Set[Term] = set()
-    order: List[Term] = []
-    frontier = [start]
-    while frontier:
-        if frontier_sizes is not None:
-            frontier_sizes.append(len(frontier))
-        next_frontier: List[Term] = []
-        for node in frontier:
-            for successor in _path_successors(path, graph, node, forward):
-                if budget is not None:
-                    budget.tick()
-                if successor not in seen:
-                    seen.add(successor)
-                    order.append(successor)
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    if cache is not None:
-        # (pinned path, discovery order, membership set): the set serves
-        # the both-bound membership fast path in _eval_mod.
-        cache[key] = (path, tuple(order), frozenset(order))
-    if probe is not None:
-        probe.closure(path, start, forward, frontier_sizes, cached=False)
-    yield from order
-
-
-def _closure_contains(
-    path: ast.Path, graph: Graph, start: Term, target: Term
-) -> bool:
-    """Is *target* forward-reachable from *start*?  Memoized membership.
-
-    A warm closure answers in O(1) against the cached membership set —
-    one budget tick instead of a scan of the whole closure sequence.
-    Cold closures run (and memoize) the full BFS via :func:`_closure`.
-    """
-    if CLOSURE_CACHING:
-        try:
-            hit = _closure_entries(graph).get((id(path), start, True))
-        except (TypeError, AttributeError):
-            hit = None
-        if hit is not None:
-            budget = active_budget()
-            if budget is not None:
-                budget.tick()
-            probe = active_probe()
-            if probe is not None:
-                probe.closure(path, start, True, None, cached=True)
-            return target in hit[2]
-    found = False
-    # Drain fully (no early break) so the generator reaches its cache
-    # write and the next membership probe for this start is O(1).
-    for node in _closure(path, graph, start, forward=True):
-        if node == target:
-            found = True
-    return found
-
-
 def _closure_decision(plan, total_nodes: int) -> Dict[str, object]:
     """Probe payload describing a both-free closure-direction decision."""
     return {
@@ -1080,134 +569,6 @@ def _closure_decision(plan, total_nodes: int) -> Dict[str, object]:
         "forwardCandidates": plan.forward_count,
         "reverseCandidates": plan.reverse_count,
     }
-
-
-def _graph_nodes(graph: Graph) -> Iterable[Term]:
-    """Every subject/object node, deterministically ordered when possible.
-
-    Encoded graphs enumerate in ascending dictionary-ID order — the same
-    order the ID-space path uses, so both join cores emit both-free path
-    solutions identically.  Plain stores fall back to an unordered set.
-    """
-    if _id_capable(graph):
-        id_term = graph.id_term
-        return [id_term(tid) for tid in graph.node_ids()]
-    nodes: Set[Term] = set(graph.subject_set())
-    for s, p, o in graph.triples():
-        nodes.add(o)
-    return nodes
-
-
-def _eval_mod(
-    path: ast.PathMod, graph: Graph, subject: Optional[Term], obj: Optional[Term]
-) -> Iterator[Tuple[Term, Term]]:
-    inner = path.path
-    mod = path.modifier
-    emitted: Set[Tuple[Term, Term]] = set()
-
-    def emit(pair: Tuple[Term, Term]) -> Iterator[Tuple[Term, Term]]:
-        if pair not in emitted:
-            emitted.add(pair)
-            yield pair
-
-    if mod == "?":
-        # zero-length
-        if subject is not None and obj is not None:
-            if subject == obj:
-                yield from emit((subject, obj))
-        elif subject is not None:
-            yield from emit((subject, subject))
-        elif obj is not None:
-            yield from emit((obj, obj))
-        else:
-            for node in _graph_nodes(graph):
-                yield from emit((node, node))
-        for pair in eval_path(inner, graph, subject, obj):
-            yield from emit(pair)
-        return
-
-    budget = active_budget()
-    include_zero = mod == "*"
-    if subject is not None:
-        if obj is not None and COST_PLANNER:
-            # Both ends bound: the closure only decides whether *obj* is
-            # reachable — a memoized membership test, not a scan of the
-            # whole closure sequence per candidate pair.
-            if include_zero and obj == subject:
-                yield from emit((subject, subject))
-            if _closure_contains(inner, graph, subject, obj):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((subject, obj))
-            return
-        if include_zero and (obj is None or obj == subject):
-            yield from emit((subject, subject))
-        for target in _closure(inner, graph, subject, forward=True):
-            if budget is not None:
-                budget.tick()
-            if obj is None or target == obj:
-                yield from emit((subject, target))
-        return
-    if obj is not None:
-        if include_zero:
-            yield from emit((obj, obj))
-        for source in _closure(inner, graph, obj, forward=False):
-            if budget is not None:
-                budget.tick()
-            yield from emit((source, obj))
-        return
-    # Both ends free: zero-length pairs cover every node, but non-empty
-    # closures can only start from the planner's endpoint candidates.
-    nodes = _graph_nodes(graph)
-    if include_zero:
-        for node in nodes:
-            yield from emit((node, node))
-    plan = (
-        planner.plan_closure(inner, graph)
-        if COST_PLANNER and _id_capable(graph)
-        else None
-    )
-    probe = active_probe()
-    if probe is not None and plan is not None:
-        probe.closure_plan(inner, _closure_decision(plan, len(nodes)))
-    if plan is None or plan.seeds is None:
-        for node in nodes:
-            if isinstance(node, Literal):
-                continue  # literals cannot start a forward path
-            for target in _closure(inner, graph, node, forward=True):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((node, target))
-        return
-    id_term = graph.id_term
-    if plan.direction == "forward":
-        for tid in plan.seeds:
-            node = id_term(tid)
-            if isinstance(node, Literal):
-                continue  # literals cannot start a forward path
-            for target in _closure(inner, graph, node, forward=True):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((node, target))
-        return
-    for tid in plan.seeds:  # reverse: seeds are the reachable endpoints
-        node = id_term(tid)
-        for source in _closure(inner, graph, node, forward=False):
-            if budget is not None:
-                budget.tick()
-            if isinstance(source, Literal):
-                continue  # literal sources match the forward skip above
-            yield from emit((source, node))
-
-
-# ----------------------------------------------------------------------
-# Property paths in ID space
-# ----------------------------------------------------------------------
-# Twins of the term-space path evaluation above, operating on dictionary
-# IDs throughout: the BFS frontiers, the dedup sets and the closure-cache
-# entries all hold ints.  Semantics (including the left-to-right /
-# right-to-left sequence orientation and zero-length cases) mirror the
-# term versions line for line.
 
 
 def _eval_path_ids(
@@ -1290,33 +651,30 @@ def _path_successors_ids(
 def _closure_ids(
     path: ast.Path, graph: Graph, start: int, forward: bool
 ) -> Iterator[int]:
-    """IDs reachable from *start* by one or more applications of *path*.
-
-    Shares the per-graph memo with the term-space closure — the key
-    carries an int start in ID mode and a Term in term mode, which can
-    never collide (an int never equals a Term).
-    """
+    """IDs reachable from *start* by one or more applications of *path*."""
     probe = active_probe()
     budget = active_budget()
-    cache = None
-    key = None
-    if CLOSURE_CACHING:
-        cache = _closure_entries(graph)
-        key = (id(path), start, forward)
-        hit = cache.get(key)
-        if hit is not None:
-            if probe is not None:
-                probe.closure(path, start, forward, None, cached=True)
-            # Warm hits still consume budget per yielded node (see the
-            # term-space twin): governance must not be bypassed by the
-            # memo.
-            if budget is None:
-                yield from hit[1]
-            else:
-                for node in hit[1]:
-                    budget.tick()
-                    yield node
-            return
+    cache = _closure_entries(graph)
+    # Key the path by identity, not value: hashing a nested path
+    # expression recursively on every lookup costs more than the BFS it
+    # saves.  The cached entry pins the path object so its id cannot be
+    # recycled while the entry lives.
+    key = (id(path), start, forward)
+    hit = cache.get(key)
+    if hit is not None:
+        if probe is not None:
+            probe.closure(path, start, forward, None, cached=True)
+        # Warm hits still consume budget per yielded node: a cached
+        # closure feeds the same downstream join work as a cold one, and
+        # deadline/visit governance must not be bypassed by the memo.
+        if budget is None:
+            yield from hit[1]
+        else:
+            for node in hit[1]:
+                budget.tick()
+                yield node
+        return
+    # BFS discovery order, not set order: deterministic given the store.
     frontier_sizes: Optional[List[int]] = [] if probe is not None else None
     seen: Set[int] = set()
     order: List[int] = []
@@ -1334,10 +692,9 @@ def _closure_ids(
                     order.append(successor)
                     next_frontier.append(successor)
         frontier = next_frontier
-    if cache is not None:
-        # (pinned path, discovery order, membership set) — the set backs
-        # the both-bound membership fast path in _eval_mod_ids.
-        cache[key] = (path, tuple(order), frozenset(order))
+    # (pinned path, discovery order, membership set) — the set backs the
+    # both-bound membership fast path in _eval_mod_ids.
+    cache[key] = (path, tuple(order), frozenset(order))
     if probe is not None:
         probe.closure(path, start, forward, frontier_sizes, cached=False)
     yield from order
@@ -1346,17 +703,21 @@ def _closure_ids(
 def _closure_contains_ids(
     path: ast.Path, graph: Graph, start: int, target: int
 ) -> bool:
-    """ID-space twin of :func:`_closure_contains` (O(1) when warm)."""
-    if CLOSURE_CACHING:
-        hit = _closure_entries(graph).get((id(path), start, True))
-        if hit is not None:
-            budget = active_budget()
-            if budget is not None:
-                budget.tick()
-            probe = active_probe()
-            if probe is not None:
-                probe.closure(path, start, True, None, cached=True)
-            return target in hit[2]
+    """Is *target* forward-reachable from *start*?  Memoized membership.
+
+    A warm closure answers in O(1) against the cached membership set —
+    one budget tick instead of a scan of the whole closure sequence.
+    Cold closures run (and memoize) the full BFS via :func:`_closure_ids`.
+    """
+    hit = _closure_entries(graph).get((id(path), start, True))
+    if hit is not None:
+        budget = active_budget()
+        if budget is not None:
+            budget.tick()
+        probe = active_probe()
+        if probe is not None:
+            probe.closure(path, start, True, None, cached=True)
+        return target in hit[2]
     found = False
     # Drain fully so _closure_ids reaches its cache write.
     for node in _closure_ids(path, graph, start, forward=True):
@@ -1396,7 +757,7 @@ def _eval_mod_ids(
     budget = active_budget()
     include_zero = mod == "*"
     if subject is not None:
-        if obj is not None and COST_PLANNER:
+        if obj is not None:
             # Both ends bound: memoized membership test instead of a
             # scan of the whole closure sequence per candidate pair —
             # this is what turns the pathological mutual-reachability
@@ -1424,27 +785,24 @@ def _eval_mod_ids(
                 budget.tick()
             yield from emit((source, obj))
         return
-    # Both ends free: zero-length pairs cover every node, but non-empty
-    # closures can only start from the planner's endpoint candidates.
+    # Both ends free: zero-length pairs cover every node.  Planned, the
+    # non-empty closures start only from the planner's cheaper endpoint
+    # candidates; unplanned (or when no safe restriction exists), from
+    # every node.
     nodes = graph.node_ids()
     if include_zero:
         for node in nodes:
             yield from emit((node, node))
-    plan = planner.plan_closure(inner, graph) if COST_PLANNER else None
-    probe = active_probe()
-    if probe is not None and plan is not None:
-        probe.closure_plan(inner, _closure_decision(plan, len(nodes)))
-    if plan is None or plan.seeds is None:
-        for node in nodes:
-            if graph.is_literal_id(node):
-                continue  # literals cannot start a forward path
-            for target in _closure_ids(inner, graph, node, forward=True):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((node, target))
-        return
-    if plan.direction == "forward":
-        for node in plan.seeds:
+    plan = None
+    if planner.planning_enabled():
+        plan = planner.plan_closure(inner, graph)
+    if plan is not None:
+        probe = active_probe()
+        if probe is not None:
+            probe.closure_plan(inner, _closure_decision(plan, len(nodes)))
+    if plan is None or plan.direction == "forward":
+        starts = nodes if plan is None or plan.seeds is None else plan.seeds
+        for node in starts:
             if graph.is_literal_id(node):
                 continue  # literals cannot start a forward path
             for target in _closure_ids(inner, graph, node, forward=True):

@@ -1,13 +1,11 @@
 """Ahead-of-time cost-based planning for BGP joins and path closures.
 
-The evaluator's original strategy picked the next triple pattern
-per intermediate solution (greedy, value-dependent).  This module plans
-a whole basic graph pattern **once per (pattern set, bound-variable
-set, graph version)** from the store's exact :meth:`~repro.rdf.graph.
-Graph.estimate_ids` cardinalities, in the spirit of *Towards Query
-Optimization for SPARQL Property Paths* (Yakovets et al.): selectivity
-estimates drive both the join order and the direction property-path
-closures are explored in.
+This module plans a whole basic graph pattern **once per (pattern set,
+bound-variable set, graph version)** from the store's exact
+:meth:`~repro.rdf.graph.Graph.estimate_ids` cardinalities, in the
+spirit of *Towards Query Optimization for SPARQL Property Paths*
+(Yakovets et al.): selectivity estimates drive both the join order and
+the direction property-path closures are explored in.
 
 Three planning products:
 
@@ -30,6 +28,11 @@ Three planning products:
   idiom of CozySynthesizer's cost model (see SNIPPETS.md): when two
   plans are equally cheap, keep the simpler one.
 
+Planning is on by default.  :func:`planning` switches it off for the
+duration of a ``with`` block (the ablation arm benchmarks and
+differential tests measure against): the evaluator then joins BGPs in
+written order and seeds both-free closures from every node.
+
 This module is imported by :mod:`repro.sparql.evaluator` (never the
 reverse), so it owns the compiled-pattern position-spec kinds; the
 evaluator re-exports them under their historical underscore names.
@@ -37,9 +40,11 @@ evaluator re-exports them under their historical underscore names.
 
 from __future__ import annotations
 
+import contextvars
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.graph import Graph
 from repro.sparql import ast
@@ -51,12 +56,13 @@ __all__ = [
     "DP_MAX_PATTERNS",
     "GROUND",
     "PATH",
-    "UNMATCHABLE",
     "VAR",
     "invalidate",
     "order_bgp",
     "plan_bgp",
     "plan_closure",
+    "planning",
+    "planning_enabled",
 ]
 
 #: Position-spec kinds for compiled triple patterns (see the evaluator's
@@ -66,22 +72,47 @@ VAR = 1     # a Variable, resolved against the ID bindings at runtime
 ABSENT = 2  # ground term not in the graph dictionary: matches nothing
 PATH = 3    # predicate position only: a property-path expression
 
-#: Sentinel for a provably-absent ground position (real IDs are >= 0).
-UNMATCHABLE = -1
-
 #: BGPs up to this many patterns are planned with an exact DP over join
 #: orders (``O(2^n * n)`` states); larger ones use the greedy heuristic.
 DP_MAX_PATTERNS = 8
 
 #: Assumed per-solution result sizes for property-path patterns by
-#: number of bound endpoints (0, 1, 2) — mirrors the evaluator's
-#: ``_PATH_ESTIMATES`` so planned and per-solution greedy orders agree
-#: on where paths belong in a join.
+#: number of bound endpoints (0, 1, 2).  A path with a bound endpoint
+#: explores one BFS closure, which on plan graphs is far cheaper than
+#: enumerating a large unbound candidate set first.
 PATH_ESTIMATES = (float(1 << 30), 64.0, 2.0)
 
 #: Cap on memoized plans per graph (a runaway workload of distinct
 #: ad-hoc queries should not grow the graph attribute without bound).
 MAX_PLANS_PER_GRAPH = 512
+
+
+# ----------------------------------------------------------------------
+# The planner switch
+# ----------------------------------------------------------------------
+_PLANNING: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_sparql_planning", default=True
+)
+
+
+def planning_enabled() -> bool:
+    """Whether the evaluator plans in this context (default ``True``)."""
+    return _PLANNING.get()
+
+
+@contextmanager
+def planning(enabled: bool) -> Iterator[bool]:
+    """Turn cost-based planning on or off for the ``with`` block.
+
+    Scoped like :func:`repro.core.limits.activate`: the setting lives in
+    a contextvar, so it covers the current thread (and tasks that copy
+    its context) only and is restored on exit.
+    """
+    token = _PLANNING.set(enabled)
+    try:
+        yield enabled
+    finally:
+        _PLANNING.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +198,9 @@ def _index_for_bounds(
 ) -> str:
     """Store index a lookup with this boundness walks.
 
-    Mirrors the branch order of :meth:`Graph.triples_ids` (kept in sync
-    with ``repro.obs.profiler._index_for``, which derives the same
-    answer from observed bindings at run time).
+    Mirrors the branch order of :meth:`Graph.triples_ids`.  The
+    profiler applies it to observed bindings at run time, so EXPLAIN's
+    actual indexes and the plan's predicted ones come from one rule.
     """
     if is_path:
         return "path"
@@ -193,8 +224,8 @@ def _make_estimator(graph: Graph):
     * a position bound by a *join variable* (value unknown at plan
       time) divides the ground estimate by the predicate's distinct
       subject/object count — the classic uniform-distribution estimate;
-    * property paths use the coarse bound-endpoint heuristic shared
-      with the per-solution greedy;
+    * property paths use the coarse bound-endpoint heuristic
+      :data:`PATH_ESTIMATES`;
     * any ``ABSENT`` position makes the pattern unmatchable (0.0).
     """
     node_total: List[float] = []
@@ -241,7 +272,12 @@ def _make_estimator(graph: Graph):
     return estimate
 
 
-def _pattern_boundness(cp, bound: Set) -> Tuple[bool, bool, bool, bool]:
+def _pattern_boundness(cp, bound) -> Tuple[bool, bool, bool, bool]:
+    """(s_bound, p_bound, o_bound, is_path) of a compiled pattern.
+
+    *bound* is any container of the variables bound so far (a set at
+    plan time, the solution's ID bindings at run time).
+    """
     s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
     is_path = p_spec[0] == PATH
     s_bound = s_spec[0] != VAR or s_spec[1] in bound
@@ -461,10 +497,10 @@ def plan_closure(inner: ast.Path, graph: Graph) -> ClosurePlan:
     """Plan a both-ends-free closure over *inner* (memoized per version).
 
     Picks the direction whose candidate endpoint set is smaller; ties
-    keep forward (the legacy orientation, so the common symmetric case
-    preserves historical result order).  When neither endpoint set can
-    be restricted safely, the plan degrades to an unrestricted forward
-    scan — exactly the legacy behavior.
+    keep forward (the unplanned orientation, so the common symmetric
+    case keeps the unplanned result order).  When neither endpoint set
+    can be restricted safely, the plan degrades to an unrestricted
+    forward scan — exactly the unplanned behavior.
     """
     state = _plan_state(graph)
     closures: Dict[int, ClosurePlan] = state["closures"]

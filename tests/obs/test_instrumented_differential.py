@@ -21,10 +21,12 @@ from repro.kb.builtin import make_pattern
 from repro.obs.instrument import EvalProbe, probing
 from repro.obs.profiler import CollectingProbe, explain
 from repro.obs.tracing import Tracer
-from repro.sparql import evaluator
+from repro.sparql import planner
 
 from tests.conftest import build_figure1_plan
+from tests.sparql import reference_evaluator as reference
 from tests.sparql.test_evaluator_idspace import (
+    PREFIX,
     _PROPERTY_QUERIES,
     _edges,
     _random_graph,
@@ -36,15 +38,14 @@ from tests.sparql.test_evaluator_idspace import (
 @given(
     edges=_edges,
     query_index=st.integers(0, len(_PROPERTY_QUERIES) - 1),
-    id_space=st.booleans(),
+    planned=st.booleans(),
 )
-def test_probe_never_changes_rows(edges, query_index, id_space):
+def test_probe_never_changes_rows(edges, query_index, planned):
     """CollectingProbe installed vs absent: identical rows, same order,
-    on both the ID-space and the term-space join paths."""
+    with the planner on and off — and those rows are the reference's."""
     graph = _random_graph(edges)
     body = _PROPERTY_QUERIES[query_index]
-    evaluator.ID_SPACE_JOIN = id_space
-    try:
+    with planner.planning(planned):
         plain = _rows(graph, body)
         with probing(CollectingProbe()):
             probed = _rows(graph, body)
@@ -52,10 +53,11 @@ def test_probe_never_changes_rows(edges, query_index, id_space):
         # queries) must not perturb anything either.
         with probing(CollectingProbe()):
             again = _rows(graph, body)
-    finally:
-        evaluator.ID_SPACE_JOIN = True
     assert probed == plain
     assert again == plain
+    assert sorted(plain, key=repr) == sorted(
+        reference.text_rows(graph, PREFIX + body), key=repr
+    )
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,11 +1,13 @@
-"""Optimizations must be invisible: join reordering and closure caching
-may change cost, never results."""
+"""Optimizations must be invisible: join planning and closure caching
+may change cost, never results — checked against the definition-level
+reference evaluator."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, Literal, Namespace
-from repro.sparql import evaluator, query
+from repro.sparql import planner, query
+
+from tests.sparql import reference_evaluator as reference
 
 EX = Namespace("http://n/")
 P = Namespace("http://p/")
@@ -45,16 +47,16 @@ def _graph(edges) -> Graph:
 def _rows(graph, body):
     rs = query(graph, PREFIX + body)
     return sorted(
-        tuple((v, rs[i].text(v)) for v in rs.variables)
-        for i in range(len(rs))
+        (
+            tuple((v, rs[i].text(v)) for v in rs.variables)
+            for i in range(len(rs))
+        ),
+        key=repr,
     )
 
 
-@pytest.fixture(autouse=True)
-def restore_flags():
-    yield
-    evaluator.JOIN_REORDERING = True
-    evaluator.CLOSURE_CACHING = True
+def _reference_rows(graph, body):
+    return sorted(reference.text_rows(graph, PREFIX + body), key=repr)
 
 
 @settings(max_examples=25, deadline=None)
@@ -62,22 +64,19 @@ def restore_flags():
 def test_reordering_never_changes_results(edges, query_index):
     g = _graph(edges)
     body = _QUERIES[query_index]
-    evaluator.JOIN_REORDERING = True
     optimized = _rows(g, body)
-    evaluator.JOIN_REORDERING = False
-    naive = _rows(g, body)
-    evaluator.JOIN_REORDERING = True
-    assert optimized == naive
+    with planner.planning(False):
+        naive = _rows(g, body)
+    assert optimized == naive == _reference_rows(g, body)
 
 
 @settings(max_examples=25, deadline=None)
 @given(edges=_edges, query_index=st.integers(0, len(_QUERIES) - 1))
 def test_closure_cache_never_changes_results(edges, query_index):
+    """A run served from the closure memo equals the cold run that
+    filled it."""
     g = _graph(edges)
     body = _QUERIES[query_index]
-    evaluator.CLOSURE_CACHING = True
-    cached = _rows(g, body)
-    evaluator.CLOSURE_CACHING = False
-    uncached = _rows(g, body)
-    evaluator.CLOSURE_CACHING = True
-    assert cached == uncached
+    cold = _rows(g, body)
+    warm = _rows(g, body)
+    assert cold == warm == _reference_rows(g, body)

@@ -1,11 +1,11 @@
-"""ID-space BGP join core vs the term-space path: identical results.
+"""The ID-space join core vs the definition-level reference evaluator.
 
-The dictionary-encoded join must be an invisible optimization — same
-solutions, same order — including the awkward boundaries: ground query
-terms the graph has never seen (unmatchable), initial bindings carrying
-foreign terms (dead variables), numeric-literal canonicalization inside
-joins, property-path fixpoints, and closure-cache invalidation on graph
-mutation.
+The dictionary-encoded join must give the reference's solutions —
+compared as row multisets — including the awkward boundaries: ground
+query terms the graph has never seen (unmatchable), initial bindings
+carrying foreign terms (dead variables), numeric-literal
+canonicalization inside joins, property-path fixpoints, and
+closure-cache invalidation on graph mutation.
 """
 
 import pytest
@@ -13,18 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, Literal, Namespace
 from repro.rdf.term import Variable
-from repro.sparql import evaluator, prepare_query, query
+from repro.sparql import prepare_query, query
 from repro.sparql.evaluator import eval_group
+
+from tests.sparql import reference_evaluator as reference
 
 EX = Namespace("http://n/")
 P = Namespace("http://p/")
 PREFIX = "PREFIX n: <http://n/> PREFIX p: <http://p/>\n"
-
-
-@pytest.fixture(autouse=True)
-def restore_flags():
-    yield
-    evaluator.ID_SPACE_JOIN = True
 
 
 def _rows(graph, body):
@@ -34,13 +30,19 @@ def _rows(graph, body):
     ]
 
 
-def _both_paths(graph, body):
-    evaluator.ID_SPACE_JOIN = True
-    id_rows = _rows(graph, body)
-    evaluator.ID_SPACE_JOIN = False
-    term_rows = _rows(graph, body)
-    evaluator.ID_SPACE_JOIN = True
-    return id_rows, term_rows
+def _engine_and_reference(graph, body):
+    """Engine rows and reference rows, each sorted (row multisets)."""
+    return (
+        sorted(_rows(graph, body), key=repr),
+        sorted(reference.text_rows(graph, PREFIX + body), key=repr),
+    )
+
+
+def _canonical(solutions):
+    return sorted(
+        sorted((var.name, term.n3()) for var, term in solution.items())
+        for solution in solutions
+    )
 
 
 @pytest.fixture
@@ -70,38 +72,38 @@ class TestSameResultsSameOrder:
 
     @pytest.mark.parametrize("body", QUERIES)
     def test_identical_rows_and_order(self, graph, body):
-        id_rows, term_rows = _both_paths(graph, body)
-        assert id_rows == term_rows
+        engine_rows, reference_rows = _engine_and_reference(graph, body)
+        assert engine_rows == reference_rows
 
 
 class TestUnmatchableGroundTerms:
     def test_absent_uri_matches_nothing(self, graph):
-        id_rows, term_rows = _both_paths(
+        id_rows, ref_rows = _engine_and_reference(
             graph, "SELECT ?x WHERE { ?x p:e n:never_seen }"
         )
-        assert id_rows == term_rows == []
+        assert id_rows == ref_rows == []
 
     def test_absent_predicate_matches_nothing(self, graph):
-        id_rows, term_rows = _both_paths(
+        id_rows, ref_rows = _engine_and_reference(
             graph, "SELECT ?x ?y WHERE { ?x p:never ?y }"
         )
-        assert id_rows == term_rows == []
+        assert id_rows == ref_rows == []
 
     def test_absent_term_in_multi_pattern_bgp(self, graph):
         # The unmatchable pattern must kill the whole BGP without
         # disturbing join reordering for the others.
-        id_rows, term_rows = _both_paths(
+        id_rows, ref_rows = _engine_and_reference(
             graph,
             "SELECT ?x ?y WHERE { ?x p:e ?y . ?y p:val n:not_a_value }",
         )
-        assert id_rows == term_rows == []
+        assert id_rows == ref_rows == []
 
     def test_numeric_spelling_finds_canonical_value(self, graph):
         # "100.0" is absent as a spelling but equal to the stored "100".
-        id_rows, term_rows = _both_paths(
+        id_rows, ref_rows = _engine_and_reference(
             graph, 'SELECT ?x WHERE { ?x p:val "100.0" }'
         )
-        assert id_rows == term_rows
+        assert id_rows == ref_rows
         assert {dict(r)["x"] for r in id_rows} == {str(EX.a), str(EX.b)}
 
 
@@ -109,26 +111,25 @@ class TestDeadVariableBindings:
     """Initial bindings carrying terms the graph never encoded."""
 
     def _solutions(self, graph, body, bindings):
+        """Engine and reference solutions of the WHERE group under the
+        initial *bindings*."""
         parsed = prepare_query(PREFIX + body)
-        return list(eval_group(parsed.where, graph, bindings))
+        return (
+            list(eval_group(parsed.where, graph, bindings)),
+            reference.eval_group(parsed.where, graph, bindings),
+        )
 
     def test_foreign_binding_blocks_patterns_using_it(self, graph):
         body = "SELECT ?x ?y WHERE { ?x p:e ?y }"
         foreign = {Variable("x"): EX.not_in_graph}
-        evaluator.ID_SPACE_JOIN = True
-        id_sols = self._solutions(graph, body, foreign)
-        evaluator.ID_SPACE_JOIN = False
-        term_sols = self._solutions(graph, body, foreign)
-        assert id_sols == term_sols == []
+        id_sols, ref_sols = self._solutions(graph, body, foreign)
+        assert id_sols == ref_sols == []
 
     def test_foreign_binding_passes_through_untouched_patterns(self, graph):
         body = "SELECT ?x ?y WHERE { ?x p:e ?y }"
         foreign = {Variable("unrelated"): EX.not_in_graph}
-        evaluator.ID_SPACE_JOIN = True
-        id_sols = self._solutions(graph, body, foreign)
-        evaluator.ID_SPACE_JOIN = False
-        term_sols = self._solutions(graph, body, foreign)
-        assert id_sols == term_sols
+        id_sols, ref_sols = self._solutions(graph, body, foreign)
+        assert _canonical(id_sols) == _canonical(ref_sols)
         assert all(
             sol[Variable("unrelated")] == EX.not_in_graph for sol in id_sols
         )
@@ -180,10 +181,7 @@ def _random_graph(edges) -> Graph:
 @given(edges=_edges, query_index=st.integers(0, len(_PROPERTY_QUERIES) - 1))
 def test_id_space_join_never_changes_results(edges, query_index):
     g = _random_graph(edges)
-    body = _PROPERTY_QUERIES[query_index]
-    evaluator.ID_SPACE_JOIN = True
-    id_rows = _rows(g, body)
-    evaluator.ID_SPACE_JOIN = False
-    term_rows = _rows(g, body)
-    evaluator.ID_SPACE_JOIN = True
-    assert id_rows == term_rows
+    engine_rows, reference_rows = _engine_and_reference(
+        g, _PROPERTY_QUERIES[query_index]
+    )
+    assert engine_rows == reference_rows

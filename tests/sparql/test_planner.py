@@ -218,12 +218,11 @@ class TestClosurePlanning:
         for forward in (True, False):
             seeds = planner._endpoint_ids(inner, g, forward)
             for node in g.node_ids():
-                term = g.id_term(node)
                 reach = list(
-                    evaluator._closure(inner, g, term, forward=forward)
+                    evaluator._closure_ids(inner, g, node, forward=forward)
                 )
                 if reach:
-                    assert node in seeds, (term, forward)
+                    assert node in seeds, (g.id_term(node), forward)
 
     def test_closure_plan_is_memoized(self):
         g = closure_graph()

@@ -1,20 +1,18 @@
 """The cost-based planner must be invisible in results.
 
-Differential suite over a hypothesis-generated graph corpus:
-
-* planner on vs. off — identical result *sets* always, and identical
-  result *sequences* for ORDER BY queries (where the order is part of
-  the answer);
-* ID-space vs. term-space join cores with the planner on — bit-identical
-  rows *including order* (both cores consult the same static plan, so
-  their emission order must stay in lock-step).
+Differential suite over a hypothesis-generated graph corpus: planned
+and unplanned evaluation (:func:`repro.sparql.planner.planning`) both
+equal the definition-level reference evaluator — as row multisets
+always, and as exact row sequences for ORDER BY queries (where the
+order is part of the answer).
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, Literal, Namespace
-from repro.sparql import evaluator, query
+from repro.sparql import planner, query
+
+from tests.sparql import reference_evaluator as reference
 
 EX = Namespace("http://n/")
 P = Namespace("http://p/")
@@ -59,22 +57,20 @@ def _graph(edges) -> Graph:
     return g
 
 
-def _ordered_rows(graph, body):
-    rs = query(graph, PREFIX + body)
+def _ordered_rows(graph, body, planned=True):
+    with planner.planning(planned):
+        rs = query(graph, PREFIX + body)
     return [
         tuple((v, rs[i].text(v)) for v in rs.variables) for i in range(len(rs))
     ]
 
 
-def _rows(graph, body):
-    return sorted(_ordered_rows(graph, body))
+def _rows(graph, body, planned=True):
+    return sorted(_ordered_rows(graph, body, planned), key=repr)
 
 
-@pytest.fixture(autouse=True)
-def restore_flags():
-    yield
-    evaluator.COST_PLANNER = True
-    evaluator.ID_SPACE_JOIN = True
+def _reference_rows(graph, body):
+    return sorted(reference.text_rows(graph, PREFIX + body), key=repr)
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,11 +78,9 @@ def restore_flags():
 def test_planner_never_changes_result_sets(edges, query_index):
     g = _graph(edges)
     body = _QUERIES[query_index]
-    evaluator.COST_PLANNER = True
-    planned = _rows(g, body)
-    evaluator.COST_PLANNER = False
-    unplanned = _rows(g, body)
-    assert planned == unplanned
+    planned = _rows(g, body, planned=True)
+    unplanned = _rows(g, body, planned=False)
+    assert planned == unplanned == _reference_rows(g, body)
 
 
 @settings(max_examples=25, deadline=None)
@@ -94,36 +88,19 @@ def test_planner_never_changes_result_sets(edges, query_index):
 def test_planner_preserves_ordered_results_bit_identically(edges, query_index):
     g = _graph(edges)
     body = _ORDERED_QUERIES[query_index]
-    evaluator.COST_PLANNER = True
-    planned = _ordered_rows(g, body)
-    evaluator.COST_PLANNER = False
-    unplanned = _ordered_rows(g, body)
-    assert planned == unplanned
-
-
-@settings(max_examples=25, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_QUERIES) - 1))
-def test_join_cores_agree_on_order_under_planner(edges, query_index):
-    g = _graph(edges)
-    body = _QUERIES[query_index]
-    evaluator.COST_PLANNER = True
-    evaluator.ID_SPACE_JOIN = True
-    id_rows = _ordered_rows(g, body)
-    evaluator.ID_SPACE_JOIN = False
-    term_rows = _ordered_rows(g, body)
-    assert id_rows == term_rows
+    planned = _ordered_rows(g, body, planned=True)
+    unplanned = _ordered_rows(g, body, planned=False)
+    assert planned == unplanned == reference.text_rows(g, PREFIX + body)
 
 
 @settings(max_examples=15, deadline=None)
 @given(edges=_edges)
-def test_planner_off_matches_legacy_greedy_exactly(edges):
-    """COST_PLANNER=False must be byte-for-byte the legacy evaluator:
-    same sets for every corpus query (order checked via ORDER BY above)."""
+def test_unplanned_matches_reference_on_every_query(edges):
+    """Planning off must give the reference's rows for every corpus
+    query on one graph, and so must planning on (order is checked via
+    ORDER BY above)."""
     g = _graph(edges)
-    evaluator.COST_PLANNER = False
     for body in _QUERIES:
-        rows_off = _rows(g, body)
-        evaluator.COST_PLANNER = True
-        rows_on = _rows(g, body)
-        evaluator.COST_PLANNER = False
-        assert rows_on == rows_off
+        expected = _reference_rows(g, body)
+        assert _rows(g, body, planned=False) == expected
+        assert _rows(g, body, planned=True) == expected
