@@ -1,14 +1,14 @@
-"""Service-front throughput: async streaming ingest vs threaded per-request.
+"""Service throughput: streamed ingest vs per-request ingest.
 
-Measures the service-tier claim behind the asyncio front (see
+Measures the service-tier claim behind streaming ingest (see
 ``docs/http-api.md`` and ``docs/operations.md``) and writes the
 ``async_service`` section of ``BENCH_matching.json``:
 
 * **concurrent small-plan ingest** — N client connections pushing the
-  same upsert workload, threaded front one ``POST /plans?replace=1``
-  per plan (keep-alive) vs async front one chunked NDJSON stream per
-  connection (``POST /plans/stream``, coalesced ~32 KiB frames,
-  micro-batch commits).  The streamed path must sustain at least
+  same upsert workload, either one ``POST /plans?replace=1`` per plan
+  (keep-alive) or one chunked NDJSON stream per connection
+  (``POST /plans/stream``, coalesced ~32 KiB frames, micro-batch
+  commits).  The streamed path must sustain at least
   ``INGEST_SPEEDUP_TARGET``x the per-request baseline (report-only
   under ``OPTIMATCH_PERF_SMOKE=1``, like every perf gate in this
   suite).
@@ -16,9 +16,8 @@ Measures the service-tier claim behind the asyncio front (see
   (``fsync_mode="batch"``, ``?ack=sync``): the stream amortizes one
   fsync per micro-batch where the per-request path pays one per plan.
 * **concurrent search throughput** — N threads issuing
-  ``POST /search/sparql`` against a preloaded workload on both fronts;
-  reported for tracking (both fronts share the matching core, so this
-  is a parity check, not a gate).
+  ``POST /search/sparql`` against a preloaded workload; reported for
+  tracking, not gated.
 
 The ingest pipeline is parse/transform-bound (one core saturates around
 ~1k size-3 plans/s on the reference box); the streamed path wins by
@@ -35,7 +34,7 @@ from http.client import HTTPConnection
 
 from benchmarks.conftest import write_json_report, write_report
 from repro.qep import write_plan
-from repro.server import FRONTS
+from repro.server import OptImatchServer
 from repro.workload import generate_workload
 
 REPORT_ONLY = os.environ.get("OPTIMATCH_PERF_SMOKE") == "1"
@@ -60,8 +59,10 @@ def _plan_texts(n, size):
     return [write_plan(plan) for plan in plans]
 
 
-def _start(front, **kwargs):
-    server = FRONTS[front](host="127.0.0.1", port=0, workers=4, **kwargs)
+def _start(**kwargs):
+    server = OptImatchServer(
+        host="127.0.0.1", port=0, workers=4, stream_batch=STREAM_BATCH, **kwargs
+    )
     server.start()
     _wait_ready(server.address[1])
     return server
@@ -109,7 +110,7 @@ def _run_threads(n, target):
 
 
 def _ingest_per_request(port, texts, count, ack=None):
-    """Threaded-front baseline: one POST /plans per plan, keep-alive."""
+    """Per-request baseline: one POST /plans per plan, keep-alive."""
     path = "/plans?replace=1" + (f"&ack={ack}" if ack else "")
 
     def worker(cid):
@@ -132,7 +133,7 @@ def _ingest_per_request(port, texts, count, ack=None):
 
 
 def _ingest_stream(port, texts, count, ack=None):
-    """Async-front streamed ingest: chunked NDJSON, coalesced frames."""
+    """Streamed ingest: chunked NDJSON, coalesced frames."""
     query = f"?replace=1&batch={STREAM_BATCH}" + (f"&ack={ack}" if ack else "")
 
     def worker(cid):
@@ -201,103 +202,80 @@ def _best_of(n, fn):
 def test_async_service_report(tmp_path):
     texts = _plan_texts(16, size=3)
     lines = [
-        f"Service-front throughput ({CONNECTIONS} connections, "
+        f"Service throughput ({CONNECTIONS} connections, "
         f"host cpus={os.cpu_count()})",
     ]
     repeats = 1 if REPORT_ONLY else 2
 
     # --- In-memory concurrent ingest: per-request vs streamed -------------
-    threaded = _start("threaded")
+    server = _start()
     try:
-        _ingest_per_request(threaded.address[1], texts, 8)  # warm caches
+        port = server.address[1]
+        _ingest_per_request(port, texts, 8)  # warm caches
+        _ingest_stream(port, texts, 8)
         per_request_pps = _best_of(
             repeats,
-            lambda: _ingest_per_request(
-                threaded.address[1], texts, PLANS_PER_CONNECTION
-            ),
+            lambda: _ingest_per_request(port, texts, PLANS_PER_CONNECTION),
         )
-    finally:
-        threaded.stop()
-
-    aserver = _start("async", stream_batch=STREAM_BATCH)
-    try:
-        _ingest_stream(aserver.address[1], texts, 8)  # warm caches
         stream_pps = _best_of(
-            repeats,
-            lambda: _ingest_stream(
-                aserver.address[1], texts, PLANS_PER_CONNECTION
-            ),
+            repeats, lambda: _ingest_stream(port, texts, PLANS_PER_CONNECTION)
         )
     finally:
-        aserver.stop()
+        server.stop()
 
     ingest_speedup = stream_pps / per_request_pps
     lines += [
         "  concurrent ingest (in-memory, upsert, size-3 plans):",
-        f"    threaded per-request:    {per_request_pps:8.1f} plans/s",
-        f"    async streamed:          {stream_pps:8.1f} plans/s",
+        f"    per-request:             {per_request_pps:8.1f} plans/s",
+        f"    streamed:                {stream_pps:8.1f} plans/s",
         f"    speedup:                 {ingest_speedup:8.2f}x "
         f"(target >= {INGEST_SPEEDUP_TARGET:.1f}x"
         f"{', report-only' if REPORT_ONLY else ''})",
     ]
 
     # --- Durable ingest: per-plan fsync vs per-batch fsync ----------------
-    threaded = _start(
-        "threaded", data_dir=str(tmp_path / "t"), fsync_mode="batch"
-    )
-    try:
-        durable_request_pps = _ingest_per_request(
-            threaded.address[1], texts, DURABLE_PLANS_PER_CONNECTION, ack="sync"
-        )
-    finally:
-        threaded.stop()
-
-    aserver = _start(
-        "async",
-        data_dir=str(tmp_path / "a"),
-        fsync_mode="batch",
-        stream_batch=STREAM_BATCH,
-    )
-    try:
-        durable_stream_pps = _ingest_stream(
-            aserver.address[1], texts, DURABLE_PLANS_PER_CONNECTION, ack="sync"
-        )
-    finally:
-        aserver.stop()
-
-    durable_speedup = durable_stream_pps / durable_request_pps
-    lines += [
-        "  durable ingest (fsync_mode=batch, ack=sync):",
-        f"    threaded per-request:    {durable_request_pps:8.1f} plans/s",
-        f"    async streamed:          {durable_stream_pps:8.1f} plans/s",
-        f"    speedup:                 {durable_speedup:8.2f}x",
-    ]
-
-    # --- Concurrent search throughput (parity check) ----------------------
-    search = {}
-    for front in ("threaded", "async"):
-        server = _start(front)
+    # One fresh data dir per arm, so both start from an empty journal.
+    durable = {}
+    for arm, ingest in (("request", _ingest_per_request),
+                        ("stream", _ingest_stream)):
+        server = _start(data_dir=str(tmp_path / arm), fsync_mode="batch")
         try:
-            client = HTTPConnection("127.0.0.1", server.address[1])
-            for i, text in enumerate(texts):
-                client.request(
-                    "POST", "/plans", body=text.encode(),
-                    headers={"Content-Type": "text/plain"},
-                )
-                resp = client.getresponse()
-                assert resp.status == 201, resp.read()[:200]
-                resp.read()
-            client.close()
-            _search_throughput(server.address[1])  # warm
-            search[front] = _best_of(
-                repeats, lambda: _search_throughput(server.address[1])
+            durable[arm] = ingest(
+                server.address[1], texts, DURABLE_PLANS_PER_CONNECTION,
+                ack="sync",
             )
         finally:
             server.stop()
+
+    durable_speedup = durable["stream"] / durable["request"]
+    lines += [
+        "  durable ingest (fsync_mode=batch, ack=sync):",
+        f"    per-request:             {durable['request']:8.1f} plans/s",
+        f"    streamed:                {durable['stream']:8.1f} plans/s",
+        f"    speedup:                 {durable_speedup:8.2f}x",
+    ]
+
+    # --- Concurrent search throughput (tracking) --------------------------
+    server = _start()
+    try:
+        port = server.address[1]
+        client = HTTPConnection("127.0.0.1", port)
+        for text in texts:
+            client.request(
+                "POST", "/plans", body=text.encode(),
+                headers={"Content-Type": "text/plain"},
+            )
+            resp = client.getresponse()
+            assert resp.status == 201, resp.read()[:200]
+            resp.read()
+        client.close()
+        _search_throughput(port)  # warm
+        search_rps = _best_of(repeats, lambda: _search_throughput(port))
+    finally:
+        server.stop()
     lines += [
         f"  concurrent /search/sparql ({len(texts)} plans loaded):",
-        f"    threaded:                {search['threaded']:8.1f} req/s",
-        f"    async:                   {search['async']:8.1f} req/s",
+        f"    throughput:              {search_rps:8.1f} req/s",
     ]
 
     text = "\n".join(lines) + "\n"
@@ -309,8 +287,8 @@ def test_async_service_report(tmp_path):
             "connections": CONNECTIONS,
             "plansPerConnection": PLANS_PER_CONNECTION,
             "ingest": {
-                "threadedPerRequestPlansPerSec": round(per_request_pps, 1),
-                "asyncStreamPlansPerSec": round(stream_pps, 1),
+                "perRequestPlansPerSec": round(per_request_pps, 1),
+                "streamPlansPerSec": round(stream_pps, 1),
                 "speedup": round(ingest_speedup, 3),
                 "target": INGEST_SPEEDUP_TARGET,
                 "thresholdApplies": not REPORT_ONLY,
@@ -318,14 +296,11 @@ def test_async_service_report(tmp_path):
             "durableIngest": {
                 "fsyncMode": "batch",
                 "ack": "sync",
-                "threadedPerRequestPlansPerSec": round(durable_request_pps, 1),
-                "asyncStreamPlansPerSec": round(durable_stream_pps, 1),
+                "perRequestPlansPerSec": round(durable["request"], 1),
+                "streamPlansPerSec": round(durable["stream"], 1),
                 "speedup": round(durable_speedup, 3),
             },
-            "concurrentSearch": {
-                "threadedReqPerSec": round(search["threaded"], 1),
-                "asyncReqPerSec": round(search["async"], 1),
-            },
+            "concurrentSearch": {"reqPerSec": round(search_rps, 1)},
         },
     )
 

@@ -318,15 +318,14 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro.server import FRONTS
+    from repro.server import OptImatchServer
 
     kb = None
     if args.extended:
         from repro.kb import extended_knowledge_base
 
         kb = extended_knowledge_base()
-    server_cls = FRONTS[args.front]
-    server = server_cls(
+    server = OptImatchServer(
         host=args.host,
         port=args.port,
         knowledge_base=kb,
@@ -375,7 +374,6 @@ def _cmd_serve(args) -> int:
         server.start()
         host, port = server.address
         print(f"OptImatch server listening on http://{host}:{port} "
-              f"[{args.front} front] "
               f"({server.state.tool.plan_count} plans, "
               f"{len(server.state.kb)} KB entries); Ctrl-C to stop")
         while not stop_requested.wait(0.5):
@@ -589,14 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="start the HTTP server (Figure 4 role)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
-    p.add_argument("--front", choices=["threaded", "async"],
-                   default="threaded",
-                   help="service front: thread-per-connection or asyncio "
-                        "event loop with keep-alive + streaming ingest")
-    p.add_argument("--async", dest="front", action="store_const",
-                   const="async", help="shorthand for --front async")
-    p.add_argument("--threaded", dest="front", action="store_const",
-                   const="threaded", help="shorthand for --front threaded")
     p.add_argument("--stream-batch", type=int,
                    default=server_defaults.DEFAULT_STREAM_BATCH,
                    help="plans committed per micro-batch on /plans/stream")

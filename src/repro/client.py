@@ -143,7 +143,14 @@ class OptImatchClient:
             self._host, self._port, timeout=self.connect_timeout
         )
         try:
-            conn.request(method, path, body=body, headers=headers)
+            try:
+                conn.request(method, path, body=body, headers=headers)
+            except (BrokenPipeError, ConnectionResetError):
+                # The server may answer before reading the whole body
+                # (413 for an over-cap upload) and stop reading; its
+                # reply is already on the wire.  A true disconnect makes
+                # getresponse() raise, so the retry rules are unchanged.
+                pass
             response = conn.getresponse()
             data = response.read()
             return response.status, dict(response.getheaders()), data

@@ -310,30 +310,18 @@ class OptImatch:
     def load_explain_file(self, path: str) -> TransformedPlan:
         return self.add_plan(parse_plan_file(path))
 
-    def load_workload_dir(
-        self,
-        directory: str,
-        suffix: str = ".exfmt",
-        use_rdf_cache: bool = False,
-    ) -> int:
+    def load_workload_dir(self, directory: str, suffix: str = ".exfmt") -> int:
         """Load every ``*.exfmt`` explain file under *directory*.
 
-        With *use_rdf_cache* the transformed RDF is persisted as ``.nt``
-        sidecar files and reused on subsequent loads (the DB2 RDF Store
-        role; see :mod:`repro.core.store`).  Returns the number of plans
-        loaded.  The load is atomic: a parse failure or duplicate plan
-        id anywhere in the directory raises without mutating the
-        workload.
+        Returns the number of plans loaded.  The load is atomic: a parse
+        failure or duplicate plan id anywhere in the directory raises
+        without mutating the workload.
         """
         paths = [
             os.path.join(directory, name)
             for name in sorted(os.listdir(directory))
             if name.endswith(suffix)
         ]
-        if use_rdf_cache:
-            from repro.core.store import load_transformed
-
-            return self._commit([load_transformed(path) for path in paths])
         return self._commit(
             [transform_plan(parse_plan_file(path)) for path in paths]
         )

@@ -4,18 +4,12 @@ OptImatch is a web tool (Figure 4: a web-based GUI talking to a server
 holding the transformation and matching engines; Section 3.2.1 even
 notes the client/server communication as an optimization target).  This
 package exposes that architecture over a JSON/HTTP API built on the
-standard library, behind **two interchangeable fronts**:
-
-* :class:`OptImatchServer` (:mod:`repro.server.threaded`) — the
-  thread-per-connection front; simple, sturdy, one thread per request.
-* :class:`AsyncOptImatchServer` (:mod:`repro.server.aserver`) — the
-  asyncio front: keep-alive connections, an event loop that never
-  blocks on evaluation (CPU work dispatches to executors), and the
-  high-throughput streaming-ingest path.
-
-Both route through one shared core (:mod:`repro.server.common`), so
-every response body is byte-identical across fronts — a property the
-differential suite enforces.  The API:
+standard library: :class:`OptImatchServer` (:mod:`repro.server.aserver`)
+is an asyncio front with keep-alive connections, an event loop that
+never blocks on evaluation (CPU work dispatches to executors), and the
+streaming-ingest path.  Routing, governance and serialization live in
+:mod:`repro.server.common`; the incremental stream engine lives in
+:mod:`repro.server.stream`.  The API:
 
 ======  =====================  ==========================================
 method  path                   body / effect
@@ -42,8 +36,7 @@ graceful drain on ``stop()``, durability (journaled ingest, background
 recovery, ``recovering``/``read_only`` degradation), and streaming
 ingest with per-connection backpressure.
 
-Start one with ``optimatch serve --port 8080`` (``--async`` for the
-asyncio front) or programmatically::
+Start one with ``optimatch serve --port 8080`` or programmatically::
 
     from repro.server import OptImatchServer
     server = OptImatchServer(port=0)     # 0 = ephemeral port
@@ -52,7 +45,7 @@ asyncio front) or programmatically::
     server.stop()
 """
 
-from repro.server.aserver import AsyncOptImatchServer
+from repro.server.aserver import OptImatchServer
 from repro.server.common import (
     DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_INFLIGHT,
@@ -78,20 +71,11 @@ from repro.server.stream import (
     StreamSession,
     encode_ndjson,
 )
-from repro.server.threaded import OptImatchServer
-
-#: The two fronts, by CLI name (``optimatch serve --front ...``).
-FRONTS = {
-    "threaded": OptImatchServer,
-    "async": AsyncOptImatchServer,
-}
 
 __all__ = [
-    "AsyncOptImatchServer",
     "OptImatchServer",
     "ServerState",
     "Response",
-    "FRONTS",
     "dispatch",
     "encode_json",
     "encode_ndjson",

@@ -1,10 +1,9 @@
-"""The asyncio HTTP front — keep-alive connections, streaming ingest.
+"""The HTTP front — keep-alive connections, streaming ingest.
 
-One event loop owns every socket: requests are parsed with
-:mod:`asyncio` stream readers, routed through the same
-:func:`repro.server.common.dispatch` table as the threaded front (the
-differential suite asserts byte-identical bodies), and written back
-over persistent HTTP/1.1 connections.  The division of labor:
+One asyncio event loop owns every socket: requests are parsed with
+:mod:`asyncio` stream readers, routed through the
+:func:`repro.server.common.dispatch` table, and written back over
+persistent HTTP/1.1 connections.  The division of labor:
 
 * **event loop** — socket IO, HTTP framing, ``GET /health`` (built
   lock-free by :func:`~repro.server.common.health_payload`, so liveness
@@ -23,14 +22,14 @@ over persistent HTTP/1.1 connections.  The division of labor:
   the TCP window pushes the stall back to fast senders.
 
 Governance composes unchanged: load shedding, budgets, graceful drain
-(:meth:`AsyncOptImatchServer.stop`) and the durability taxonomy
+(:meth:`OptImatchServer.stop`) and the durability taxonomy
 (``recovering``/``read_only`` 503s with Retry-After) all live in the
 shared :class:`~repro.server.common.ServerState`.
 
-Start one with ``optimatch serve --async`` or programmatically::
+Start one with ``optimatch serve`` or programmatically::
 
-    from repro.server import AsyncOptImatchServer
-    server = AsyncOptImatchServer(port=0).start()   # daemon thread
+    from repro.server import OptImatchServer
+    server = OptImatchServer(port=0).start()   # daemon thread
     ...
     server.stop()
 """
@@ -95,14 +94,16 @@ def _reason(status: int) -> str:
         return "Unknown"
 
 
-class AsyncOptImatchServer:
-    """The asyncio service front over one :class:`OptImatch` instance.
+class OptImatchServer:
+    """The HTTP service over one :class:`OptImatch` instance.
 
-    Constructor-compatible with the threaded
-    :class:`repro.server.threaded.OptImatchServer` — same governance,
-    durability and streaming knobs — and exposes the same lifecycle
-    API (``start`` / ``serve_forever`` / ``stop`` / ``address`` /
-    ``url``), so callers can swap fronts without code changes.
+    *max_body_bytes*, *default_timeout_ms*, *max_timeout_ms*,
+    *max_inflight* and *retry_after_seconds* configure the governance
+    layer (see docs/operations.md for tuning guidance); *stream_batch*,
+    *max_streams* and *stream_hwm* configure streaming ingest (see
+    docs/http-api.md).  The lifecycle is ``start`` (serve on a daemon
+    thread) or ``serve_forever`` (serve on the calling thread), then
+    ``stop``; ``address`` and ``url`` name the bound socket.
     """
 
     def __init__(
@@ -186,8 +187,13 @@ class AsyncOptImatchServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def start(self) -> "AsyncOptImatchServer":
-        """Run the event loop in a daemon thread; returns once bound."""
+    def start(self) -> "OptImatchServer":
+        """Run the event loop in a daemon thread; returns once bound.
+
+        With durability on, journal recovery runs in its own background
+        thread — the listener answers immediately (``/health`` reports
+        ``recovering``; ingest and searches 503 until the replay ends).
+        """
         self._thread = threading.Thread(
             target=self._run_loop, daemon=True, name="optimatch-aserver"
         )
@@ -240,10 +246,10 @@ class AsyncOptImatchServer:
     def stop(self, drain_seconds: float = 5.0) -> None:
         """Graceful shutdown: drain in-flight requests, then close.
 
-        Same contract as the threaded front: new heavy work is shed
-        with 503 while draining, in-flight requests get up to
-        *drain_seconds*, then the loop is torn down (open keep-alive
-        connections are dropped) and the engine is closed.
+        New heavy work is shed with 503 while draining, in-flight
+        requests get up to *drain_seconds*, then the loop is torn down
+        (open keep-alive connections are dropped) and the engine is
+        closed.
         """
         self.state.draining = True
         deadline = time.monotonic() + drain_seconds

@@ -1,16 +1,10 @@
-"""Front-agnostic service core shared by both HTTP fronts.
+"""Service core behind the HTTP front (:mod:`repro.server.aserver`).
 
-The OptImatch service tier has two interchangeable fronts — the
-thread-per-connection :mod:`repro.server.threaded` front and the
-asyncio :mod:`repro.server.aserver` front — that must answer every
-route with **byte-identical** JSON bodies and the same status /
-``Retry-After`` taxonomy (the differential suite in
-``tests/integration/test_async_vs_threaded.py`` enforces this).  The
-only way to guarantee that is to route both fronts through one shared
-core, which this module provides:
+The front owns sockets and HTTP framing; everything else lives here, in
+code that never touches a socket:
 
 * :class:`ServerState` — the engine/KB/governance state behind the
-  handlers (thread-safe; identical for both fronts);
+  handlers (thread-safe);
 * :func:`dispatch` — the route table: maps one fully-read request
   (method, path, headers, body) to a :class:`Response`;
 * :func:`encode_json` — the single JSON serialization used for every
@@ -20,7 +14,7 @@ core, which this module provides:
 
 Streaming ingest (``POST /plans/stream``) is the one route that cannot
 be expressed as a fully-read request; its incremental engine lives in
-:mod:`repro.server.stream` and each front supplies only the socket IO
+:mod:`repro.server.stream` and the front supplies only the socket IO
 around it.
 """
 
@@ -101,8 +95,8 @@ class _RequestError(Exception):
 class Response:
     """One fully-formed reply: status, extra headers, exact body bytes.
 
-    ``body`` is already serialized — both fronts write these bytes
-    verbatim, which is what makes the fronts byte-identical.
+    ``body`` is already serialized — the front writes these bytes
+    verbatim.
     """
 
     __slots__ = ("status", "body", "content_type", "headers")
@@ -121,7 +115,7 @@ class Response:
 
 
 def encode_json(payload) -> bytes:
-    """The one JSON serialization both fronts use for every body."""
+    """The one JSON serialization used for every body."""
     return json.dumps(payload, indent=2).encode("utf-8")
 
 
@@ -150,11 +144,9 @@ class ServerState:
     the lock (the engine is internally thread-safe), so read routes and
     health checks never queue behind a slow search.
 
-    One instance serves exactly one front; both fronts accept the same
-    constructor arguments and build the same state, so their behavior
-    can only diverge in socket plumbing.  *clock* is the monotonic clock
-    used for request budgets — injectable so time-sensitive tests run on
-    a fake clock (:mod:`repro.testing.clock`) instead of sleeping.
+    *clock* is the monotonic clock used for request budgets — injectable
+    so time-sensitive tests run on a fake clock (:mod:`repro.testing.clock`)
+    instead of sleeping.
     """
 
     def __init__(
@@ -517,7 +509,7 @@ def _report_to_json(report) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Request-parsing helpers shared by both fronts
+# Request-parsing helpers
 # ----------------------------------------------------------------------
 def split_path(path: str) -> Tuple[str, dict]:
     parts = urlsplit(path)
@@ -728,8 +720,8 @@ def health_payload(state: ServerState) -> dict:
 
     ``plan_count`` and ``len(kb)`` are single reads (atomic under the
     GIL), so liveness stays in microseconds even while ingest holds the
-    state lock or a heavy search evaluates — and the asyncio front can
-    serve it inline on the event loop without an executor hop.
+    state lock or a heavy search evaluates — and the front serves it
+    inline on the event loop without an executor hop.
     """
     status = state.health_status()
     payload = {

@@ -1,428 +1,10 @@
-"""The thread-per-connection HTTP front (the original service front).
+"""Holds no server: :class:`repro.server.OptImatchServer` (the asyncio
+front in :mod:`repro.server.aserver`) is the only HTTP front.
 
-A :class:`http.server.ThreadingHTTPServer` whose handler is a thin
-socket adapter: it reads one request, hands it to the shared
-:func:`repro.server.common.dispatch` route table, and writes the
-returned :class:`~repro.server.common.Response` verbatim.  All routing,
-governance and serialization live in :mod:`repro.server.common`, shared
-byte-for-byte with the asyncio front (:mod:`repro.server.aserver`);
-pick a front with ``optimatch serve --threaded/--async``.
-
-The one incremental route, ``POST /plans/stream``, drives a
-:class:`repro.server.stream.StreamSession` directly from the handler
-thread: body chunks (Content-Length or chunked framing) are fed as they
-arrive and ack lines written back between reads, so a slow commit
-naturally stops the socket read — the same backpressure contract as the
-asyncio front, enforced by the shared commit-slot semaphore.
+This module exists only because the benchmark harness
+(``perfbench/spans.py``) imports it to patch by-name references to
+:func:`~repro.server.common.dispatch`; the next change to the benchmark
+deletes it.
 """
 
-from __future__ import annotations
-
-import sys
-import threading
-import time
-import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, Optional, Tuple
-
-from repro.kb import KnowledgeBase
-from repro.obs.metrics import MetricsRegistry
-from repro.server.common import (
-    DEFAULT_MAX_BODY_BYTES,
-    DEFAULT_MAX_INFLIGHT,
-    DEFAULT_MAX_STREAMS,
-    DEFAULT_MAX_TIMEOUT_MS,
-    DEFAULT_RETRY_AFTER_SECONDS,
-    DEFAULT_STREAM_BATCH,
-    DEFAULT_STREAM_HWM,
-    DEFAULT_TIMEOUT_MS,
-    Response,
-    ServerState,
-    _RequestError,
-    dispatch,
-    encode_json,
-    shed_response,
-    split_path,
-    validate_content_length,
-)
-from repro.server.stream import (
-    NDJSON_CONTENT_TYPE,
-    StreamError,
-    StreamSession,
-)
-from repro.store import DEFAULT_CHECKPOINT_EVERY
-
-#: Read streamed request bodies in slices of this many bytes.
-_STREAM_READ_SIZE = 64 * 1024
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler; the server instance injects ``state``."""
-
-    state: ServerState  # set by OptImatchServer
-
-    #: Status code of the last reply on this request, for the request
-    #: counter; 0 means the connection died before anything was sent.
-    _status_sent: int = 0
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def log_message(self, format, *args):  # silence default stderr noise
-        pass
-
-    def _lower_headers(self) -> dict:
-        return {k.lower(): v for k, v in self.headers.items()}
-
-    def _write_response(self, response: Response) -> None:
-        self._status_sent = response.status
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def _internal_error(self, exc: BaseException) -> None:
-        """Catch-all 500: structured payload + stderr log, never a
-        silently dropped connection."""
-        error_id = uuid.uuid4().hex[:12]
-        print(
-            f"[optimatch-server] error {error_id} on "
-            f"{self.command} {self.path}: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        try:
-            self._write_response(
-                Response(
-                    500,
-                    encode_json(
-                        {
-                            "error": f"internal server error (id {error_id})",
-                            "code": "internal",
-                            "errorId": error_id,
-                        }
-                    ),
-                )
-            )
-        except OSError:
-            pass  # client went away mid-reply; nothing left to say
-
-    def _observe(self, method: str, started: float) -> None:
-        """Commit this request to the per-route series (route label is
-        cardinality-bounded by :meth:`ServerState.metric_route`)."""
-        route, _ = split_path(self.path)
-        self.state.observe_request(
-            self.state.metric_route(route),
-            method,
-            self._status_sent,
-            time.perf_counter() - started,
-        )
-
-    def _handle(self, method: str) -> None:
-        state = self.state
-        state.request_started()
-        started = time.perf_counter()
-        try:
-            headers = self._lower_headers()
-            route, query = split_path(self.path)
-            if method == "POST" and route == "/plans/stream":
-                self._do_stream(query, headers)
-                return
-            body = b""
-            if method == "POST":
-                # Read the body before routing, so Content-Length
-                # problems (411/400/413) surface even on unknown paths.
-                try:
-                    length = validate_content_length(state, headers)
-                except _RequestError as exc:
-                    self._write_response(
-                        Response(
-                            exc.status,
-                            encode_json({"error": str(exc), "code": exc.code}),
-                            headers=exc.headers,
-                        )
-                    )
-                    return
-                body = self.rfile.read(length) if length else b""
-            self._write_response(dispatch(state, method, self.path, headers, body))
-        except Exception as exc:  # noqa: BLE001 — catch-all 500
-            self._internal_error(exc)
-        finally:
-            state.request_finished()
-            self._observe(method, started)
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-    def do_GET(self):
-        self._handle("GET")
-
-    def do_DELETE(self):
-        self._handle("DELETE")
-
-    def do_POST(self):
-        self._handle("POST")
-
-    # Unsupported verbs still route through dispatch so both fronts
-    # answer with the same 405 taxonomy body instead of the
-    # BaseHTTPRequestHandler 501 HTML page.
-    def do_PUT(self):
-        self._handle("PUT")
-
-    def do_PATCH(self):
-        self._handle("PATCH")
-
-    def do_HEAD(self):
-        self._handle("HEAD")
-
-    # ------------------------------------------------------------------
-    # Streaming ingest
-    # ------------------------------------------------------------------
-    def _iter_body_chunks(self, headers: dict) -> Iterator[bytes]:
-        """Yield request-body slices under either framing.
-
-        ``Transfer-Encoding: chunked`` is decoded chunk by chunk;
-        otherwise Content-Length is required (but NOT capped — the
-        stream's size limit is per line, enforced by the session's
-        splitter) and read in bounded slices.
-        """
-        te = headers.get("transfer-encoding", "")
-        if "chunked" in te.lower():
-            while True:
-                size_line = self.rfile.readline(1024)
-                try:
-                    size = int(size_line.split(b";")[0].strip() or b"", 16)
-                except ValueError:
-                    raise _RequestError(
-                        400, "bad_chunked_encoding", "malformed chunk size"
-                    )
-                if size == 0:
-                    # Consume trailers up to the terminating blank line.
-                    while True:
-                        line = self.rfile.readline(1024)
-                        if line in (b"\r\n", b"\n", b""):
-                            break
-                    return
-                remaining = size
-                while remaining:
-                    data = self.rfile.read(min(remaining, _STREAM_READ_SIZE))
-                    if not data:
-                        raise _RequestError(
-                            400, "bad_chunked_encoding", "truncated chunk"
-                        )
-                    remaining -= len(data)
-                    yield data
-                self.rfile.read(2)  # chunk-terminating CRLF
-            return
-        raw = headers.get("content-length")
-        if raw is None:
-            raise _RequestError(
-                411, "length_required", "Content-Length header is required"
-            )
-        try:
-            remaining = int(raw)
-        except (TypeError, ValueError):
-            raise _RequestError(
-                400,
-                "bad_content_length",
-                f"invalid Content-Length header: {raw!r}",
-            )
-        if remaining < 0:
-            raise _RequestError(
-                400,
-                "bad_content_length",
-                f"invalid Content-Length header: {raw!r}",
-            )
-        while remaining:
-            data = self.rfile.read(min(remaining, _STREAM_READ_SIZE))
-            if not data:
-                break
-            remaining -= len(data)
-            yield data
-
-    def _start_ndjson(self) -> None:
-        self._status_sent = 200
-        self.send_response(200)
-        self.send_header("Content-Type", NDJSON_CONTENT_TYPE)
-        self.send_header("Connection", "close")
-        self.end_headers()
-
-    def _do_stream(self, query: dict, headers: dict) -> None:
-        state = self.state
-        # Ack streams have no Content-Length and errors can strike
-        # mid-body: never reuse the connection afterwards.
-        self.close_connection = True
-        if not state.acquire_stream_slot():
-            state._m_stream_connections.labels("shed").inc()
-            self._write_response(shed_response(state, "/plans/stream"))
-            return
-        headers_sent = False
-        try:
-            try:
-                session = StreamSession(state, query)
-                for chunk in self._iter_body_chunks(headers):
-                    for ack in session.feed(chunk):
-                        if not headers_sent:
-                            self._start_ndjson()
-                            headers_sent = True
-                        self.wfile.write(ack)
-                    if headers_sent:
-                        self.wfile.flush()
-                acks, response = session.finish()
-                if session.ack_mode == "none":
-                    self._write_response(response)
-                else:
-                    if not headers_sent:
-                        self._start_ndjson()
-                        headers_sent = True
-                    for ack in acks:
-                        self.wfile.write(ack)
-                    self.wfile.flush()
-                state._m_stream_connections.labels("ok").inc()
-            except _RequestError as exc:
-                state._m_stream_connections.labels("error").inc()
-                self._write_response(
-                    Response(
-                        exc.status,
-                        encode_json({"error": str(exc), "code": exc.code}),
-                        headers=exc.headers,
-                    )
-                )
-            except StreamError as exc:
-                state._m_stream_connections.labels("error").inc()
-                if headers_sent:
-                    # Headers are out: the error becomes the final
-                    # NDJSON record instead of an HTTP status.
-                    self.wfile.write(exc.to_record())
-                    self.wfile.flush()
-                else:
-                    self._write_response(
-                        Response(
-                            exc.status,
-                            encode_json(
-                                {
-                                    "error": str(exc),
-                                    "code": exc.code,
-                                    "ingested": exc.ingested,
-                                }
-                            ),
-                        )
-                    )
-        except OSError:
-            state._m_stream_connections.labels("aborted").inc()
-        finally:
-            state.release_stream_slot()
-
-
-class OptImatchServer:
-    """A threaded HTTP server wrapping one :class:`OptImatch` instance.
-
-    *max_body_bytes*, *default_timeout_ms*, *max_timeout_ms*,
-    *max_inflight* and *retry_after_seconds* configure the governance
-    layer (see docs/operations.md for tuning guidance); *stream_batch*,
-    *max_streams* and *stream_hwm* configure streaming ingest (see
-    docs/http-api.md).
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        knowledge_base: Optional[KnowledgeBase] = None,
-        workers: Optional[int] = None,
-        cache: bool = True,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        default_timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-        max_timeout_ms: float = DEFAULT_MAX_TIMEOUT_MS,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        retry_after_seconds: int = DEFAULT_RETRY_AFTER_SECONDS,
-        registry: Optional[MetricsRegistry] = None,
-        mode: Optional[str] = None,
-        data_dir: Optional[str] = None,
-        fsync_mode: str = "batch",
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        stream_batch: int = DEFAULT_STREAM_BATCH,
-        max_streams: int = DEFAULT_MAX_STREAMS,
-        stream_hwm: int = DEFAULT_STREAM_HWM,
-        min_free_bytes: int = 0,
-        max_rss_bytes: int = 0,
-        clock=None,
-    ):
-        self.state = ServerState(
-            knowledge_base,
-            workers=workers,
-            cache=cache,
-            max_body_bytes=max_body_bytes,
-            default_timeout_ms=default_timeout_ms,
-            max_timeout_ms=max_timeout_ms,
-            max_inflight=max_inflight,
-            retry_after_seconds=retry_after_seconds,
-            registry=registry,
-            mode=mode,
-            data_dir=data_dir,
-            fsync_mode=fsync_mode,
-            checkpoint_every=checkpoint_every,
-            stream_batch=stream_batch,
-            max_streams=max_streams,
-            stream_hwm=stream_hwm,
-            min_free_bytes=min_free_bytes,
-            max_rss_bytes=max_rss_bytes,
-            clock=clock,
-        )
-        handler = type("BoundHandler", (_Handler,), {"state": self.state})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "OptImatchServer":
-        """Serve in a daemon thread; returns self for chaining.
-
-        With durability on, journal recovery runs in its own background
-        thread — the listener answers immediately (``/health`` reports
-        ``recovering``; ingest and searches 503 until the replay ends).
-        """
-        self.state.begin_recovery()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI entry point)."""
-        self.state.begin_recovery()
-        self._httpd.serve_forever()
-
-    def stop(self, drain_seconds: float = 5.0) -> None:
-        """Graceful shutdown: drain in-flight requests, then close.
-
-        New heavy requests are shed with 503 while draining; requests
-        already evaluating get up to *drain_seconds* to finish before
-        the listener is torn down.
-        """
-        self.state.draining = True
-        deadline = time.monotonic() + drain_seconds
-        while time.monotonic() < deadline:
-            with self.state._counter_lock:
-                if self.state.inflight_requests == 0:
-                    break
-            time.sleep(0.02)
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        # Release engine resources (worker pools and, in process mode,
-        # the shared-memory snapshot segment).
-        self.state.tool.close()
+from repro.server.common import dispatch  # noqa: F401

@@ -260,17 +260,6 @@ class TestAtomicLoads:
         with pytest.raises(KeyError):
             tool.plan("other")
 
-    def test_load_workload_dir_atomic_with_rdf_cache(self, tmp_path):
-        from repro.qep.writer import write_plan_file
-        from tests.conftest import build_figure1_plan
-
-        write_plan_file(build_figure1_plan("dup"), str(tmp_path / "a.exfmt"))
-        tool = OptImatch()
-        tool.add_plan(build_figure1_plan("dup"))
-        with pytest.raises(ValueError, match="duplicate"):
-            tool.load_workload_dir(str(tmp_path), use_rdf_cache=True)
-        assert tool.plan_count == 1
-
 
 class TestStatsTornReads:
     """Regression: ``stats()`` must never expose a half-committed search.

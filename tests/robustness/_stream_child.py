@@ -1,13 +1,13 @@
 """Child process for the kill -9 mid-stream harness.
 
-Starts a durable server front on an ephemeral port, prints
+Starts a durable server on an ephemeral port, prints
 ``PORT <port>`` once it is accepting connections, then parks forever —
 the parent streams plans at it over ``POST /plans/stream?ack=sync``
 and SIGKILLs this process mid-stream.  Every ack the parent received
 before the kill was preceded by a journal fsync, so the acked plans
 must survive recovery of the data directory.
 
-Usage: ``python _stream_child.py DATA_DIR [threaded|async]``
+Usage: ``python _stream_child.py DATA_DIR``
 """
 
 import sys
@@ -16,11 +16,10 @@ import time
 
 def main() -> None:
     data_dir = sys.argv[1]
-    front = sys.argv[2] if len(sys.argv) > 2 else "async"
 
-    from repro.server import FRONTS
+    from repro.server import OptImatchServer
 
-    server = FRONTS[front](
+    server = OptImatchServer(
         port=0,
         workers=1,
         data_dir=data_dir,

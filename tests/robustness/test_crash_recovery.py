@@ -162,7 +162,7 @@ class TestSigkillMidIngest:
 
 
 class TestSigkillMidStream:
-    """kill -9 a server front mid ``POST /plans/stream?ack=sync``.
+    """kill -9 a server mid ``POST /plans/stream?ack=sync``.
 
     Every ack line the client read was preceded by a journal fsync, so
     after SIGKILL the recovered workload must contain every acked plan;
@@ -172,28 +172,25 @@ class TestSigkillMidStream:
 
     STREAM_CHILD = os.path.join(os.path.dirname(__file__), "_stream_child.py")
 
-    def _spawn_server(self, data_dir, front):
+    def _spawn_server(self, data_dir):
         env = dict(os.environ)
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
         )
         return subprocess.Popen(
-            [sys.executable, "-u", self.STREAM_CHILD, str(data_dir), front],
+            [sys.executable, "-u", self.STREAM_CHILD, str(data_dir)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             env=env,
         )
 
-    @pytest.mark.parametrize("front", ["threaded", "async"])
-    def test_acked_stream_batches_survive_sigkill(
-        self, tmp_path, workload_dir, front
-    ):
+    def test_acked_stream_batches_survive_sigkill(self, tmp_path, workload_dir):
         import socket
 
         data_dir = tmp_path / "data"
-        proc = self._spawn_server(data_dir, front)
+        proc = self._spawn_server(data_dir)
         try:
             port = int(read_until(proc, "PORT")[0].split(" ", 1)[1])
             names = sorted(

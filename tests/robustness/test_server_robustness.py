@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.client import ClientError, OptImatchClient, ServerUnavailable
 from repro.qep.writer import write_plan
 from repro.server import OptImatchServer
 from repro.testing import chaos
@@ -80,6 +81,23 @@ class TestBodyValidation:
         status, _, payload = post(server, "/plans", body)
         assert status == 413
         assert payload["code"] == "body_too_large"
+
+    def test_client_sees_413_for_uploads_twice_the_cap(self, server):
+        """The server answers 413 and stops reading while the client is
+        still sending; the client must read that reply rather than fail
+        on the broken pipe."""
+        cap = server.state.max_body_bytes
+        client = OptImatchClient(server.url, retries=0)
+        plan = "x" * (2 * cap)
+        batch = ["y" * (cap // 4)] * 9  # ~2.25x the cap as JSON
+        for _ in range(5):
+            for upload, arg in ((client.upload_plan, plan),
+                                (client.upload_plans, batch)):
+                with pytest.raises(ClientError) as info:
+                    upload(arg)
+                assert not isinstance(info.value, ServerUnavailable)
+                assert info.value.status == 413
+                assert info.value.code == "body_too_large"
 
 
 class TestErrorTaxonomy:

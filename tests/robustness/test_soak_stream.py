@@ -1,6 +1,6 @@
 """Soak test: 100 keep-alive connections stream 10k plans concurrently.
 
-What must hold while the asyncio front drinks from a firehose:
+What must hold while the server drinks from a firehose:
 
 * **No lost or duplicated plans** — the final workload is exactly the
   10k unique ids the clients sent, across every interleaving the
@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.qep import write_plan
-from repro.server import AsyncOptImatchServer
+from repro.server import OptImatchServer
 from repro.workload import generate_workload
 
 CONNECTIONS = 100
@@ -132,7 +132,7 @@ def test_soak_100_connections_10k_plans():
         write_plan(plan)
         for plan in generate_workload(5, seed=47, size_sampler=lambda rng: 5)
     ]
-    server = AsyncOptImatchServer(port=0, stream_hwm=4).start()
+    server = OptImatchServer(port=0, stream_hwm=4).start()
     try:
         address = server.address
         rss_before = _maxrss_bytes()

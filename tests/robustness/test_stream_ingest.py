@@ -11,7 +11,7 @@ boundaries and asserts chunking invariance at three layers:
 * :class:`~repro.server.stream.StreamSession` over a real engine
   (ingested plans identical for every chunking);
 * a live server over a socket, with arbitrary *chunked
-  transfer-encoding* frame boundaries (exercises each front's chunk
+  transfer-encoding* frame boundaries (exercises the front's chunk
   decoder).
 
 Plus the protocol edges: torn final line (400, committed prefix
@@ -28,8 +28,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.qep import write_plan
 from repro.server import (
-    AsyncOptImatchServer,
     LineSplitter,
+    OptImatchServer,
     ServerState,
     StreamError,
     StreamSession,
@@ -189,7 +189,7 @@ def test_session_torn_line_keeps_committed_prefix(state):
 @pytest.fixture(scope="module")
 def small_server():
     # A tight per-line cap keeps the 413 test payload tiny.
-    instance = AsyncOptImatchServer(port=0, max_body_bytes=100_000).start()
+    instance = OptImatchServer(port=0, max_body_bytes=100_000).start()
     yield instance
     instance.stop()
 
